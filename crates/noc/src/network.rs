@@ -222,6 +222,23 @@ struct NodeState {
     rr_vc: RrArbiter,
 }
 
+/// The fault layer for an already validated `plan` over this network.
+fn fault_state(cfg: &NetworkConfig, graph: &TopologyGraph, plan: FaultPlan) -> FaultState {
+    let vcs: Vec<usize> = (0..graph.num_routers())
+        .map(|r| cfg.routers[r].vcs_per_port)
+        .collect();
+    FaultState::new(plan, graph, cfg.flit_width, &vcs)
+}
+
+/// An epoch recorder sampling every `every` cycles over these routers and
+/// links.
+fn epoch_recorder(every: Cycle, routers: &[RouterState], link_lanes: &[usize]) -> EpochRecorder {
+    let caps = routers.iter().map(|r| u64::from(r.capacity)).collect();
+    let vcs = routers.iter().map(|r| u64::from(r.total_vcs)).collect();
+    let lanes = link_lanes.iter().map(|&l| l as u64).collect();
+    EpochRecorder::new(every, caps, vcs, lanes)
+}
+
 /// Maximum event-schedule horizon (flit arrivals at +2 are the farthest).
 const WHEEL: usize = 3;
 
@@ -410,15 +427,7 @@ impl Network {
     pub fn with_faults(cfg: NetworkConfig, plan: FaultPlan) -> Result<Self, ConfigError> {
         let mut net = Self::new(cfg)?;
         plan.validate(net.graph.num_links(), net.graph.num_routers())?;
-        let vcs: Vec<usize> = (0..net.graph.num_routers())
-            .map(|r| net.cfg.routers[r].vcs_per_port)
-            .collect();
-        net.faults = Some(Box::new(FaultState::new(
-            plan,
-            &net.graph,
-            net.cfg.flit_width,
-            &vcs,
-        )));
+        net.faults = Some(Box::new(fault_state(&net.cfg, &net.graph, plan)));
         Ok(net)
     }
 
@@ -573,14 +582,11 @@ impl Network {
     /// # Panics
     /// Panics if `every` is zero.
     pub(crate) fn enable_epochs(&mut self, every: Cycle) {
-        let caps = self.routers.iter().map(|r| u64::from(r.capacity)).collect();
-        let vcs = self
-            .routers
-            .iter()
-            .map(|r| u64::from(r.total_vcs))
-            .collect();
-        let lanes = self.link_lanes.iter().map(|&l| l as u64).collect();
-        self.epochs = Some(Box::new(EpochRecorder::new(every, caps, vcs, lanes)));
+        self.epochs = Some(Box::new(epoch_recorder(
+            every,
+            &self.routers,
+            &self.link_lanes,
+        )));
     }
 
     /// Stops epoch sampling, closes the partial epoch in progress (if it
