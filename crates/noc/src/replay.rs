@@ -14,9 +14,10 @@
 //! the engine is a deterministic function of its complete state, equal
 //! fingerprints at cycle *t* imply equal trajectories up to *t*; the
 //! "diverged by cycle *t*" predicate is therefore monotone in *t* and the
-//! bisection is sound. At the first diverging cycle the driver walks both
-//! networks field by field ([`crate::network::Network::divergences`]) and
-//! reports *which router, VC and field* first went wrong.
+//! bisection is sound. At the first diverging cycle the driver compares
+//! both networks' labelled encodings
+//! ([`crate::network::Network::divergences`]) and reports *which router,
+//! VC and field* first went wrong.
 //!
 //! Cost: `O(log T)` probe pairs, each a deterministic replay of at most
 //! `T` cycles — no stored digest trajectories, no giant traces.
