@@ -24,8 +24,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use heteronoc_noc::checkpoint::Checkpoint;
-
-use crate::json::{self, Json};
+use heteronoc_obs::json::{self, Json};
 
 /// Bump when the metrics schema or canonical-description format changes;
 /// old cache entries then miss instead of deserializing garbage.

@@ -35,13 +35,13 @@ use std::time::Instant;
 use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault, RecoveryPolicy};
 use heteronoc::noc::types::{Bits, Cycle, LinkId, NodeId};
+use heteronoc_obs::json::{self, Json};
 use heteronoc_obs::{ProgressSink, Registry, Snapshot};
 use heteronoc_verify::{run_with_degradation, DegradedRunReport, Injection};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::cache::{content_key, ResultCache, SCHEMA_VERSION};
-use crate::json::{self, Json};
 use crate::sweep::parallel_map_until;
 
 /// Packet payload used by every campaign injection (matches the sweep's
@@ -275,26 +275,22 @@ fn execute_point(point: &CampaignPoint) -> Result<DegradedRunReport, String> {
     .map_err(|e| e.to_string())
 }
 
-fn int(v: u64) -> Json {
-    i64::try_from(v).map_or(Json::Num(v as f64), Json::Int)
-}
-
 fn point_metrics(r: &DegradedRunReport) -> Json {
     Json::obj(vec![
-        ("delivered", int(r.delivered)),
-        ("permanent", int(r.permanent_losses())),
+        ("delivered", Json::from(r.delivered)),
+        ("permanent", Json::from(r.permanent_losses())),
         ("delivery_ratio", Json::Num(r.delivery_ratio())),
-        ("latency_p50", int(r.latency_percentile(0.50))),
-        ("latency_p99", int(r.latency_percentile(0.99))),
-        ("finished_at", int(r.finished_at)),
-        ("reroutes", int(u64::from(r.reroutes))),
-        ("retransmissions", int(r.counters.retransmissions)),
-        ("reinjections", int(r.recovery.reinjections)),
-        ("reinjected_flits", int(r.recovery.reinjected_flits)),
-        ("recovered", int(r.recovery.recovered)),
+        ("latency_p50", Json::from(r.latency_percentile(0.50))),
+        ("latency_p99", Json::from(r.latency_percentile(0.99))),
+        ("finished_at", Json::from(r.finished_at)),
+        ("reroutes", Json::from(u64::from(r.reroutes))),
+        ("retransmissions", Json::from(r.counters.retransmissions)),
+        ("reinjections", Json::from(r.recovery.reinjections)),
+        ("reinjected_flits", Json::from(r.recovery.reinjected_flits)),
+        ("recovered", Json::from(r.recovery.recovered)),
         (
             "duplicates_suppressed",
-            int(r.recovery.duplicates_suppressed),
+            Json::from(r.recovery.duplicates_suppressed),
         ),
         ("error", Json::Null),
     ])
@@ -302,8 +298,8 @@ fn point_metrics(r: &DegradedRunReport) -> Json {
 
 fn error_metrics(e: &str) -> Json {
     Json::obj(vec![
-        ("delivered", int(0)),
-        ("permanent", int(0)),
+        ("delivered", Json::from(0)),
+        ("permanent", Json::from(0)),
         ("delivery_ratio", Json::Num(f64::NAN)),
         ("error", Json::Str(e.to_owned())),
     ])
@@ -634,8 +630,8 @@ fn manifest_doc(
         .map(|((p, key), r)| {
             Json::obj(vec![
                 ("layout", Json::Str(p.layout.clone())),
-                ("kills", int(p.kills as u64)),
-                ("sample", int(p.sample as u64)),
+                ("kills", Json::from(p.kills as u64)),
+                ("sample", Json::from(p.sample as u64)),
                 ("key", Json::Str(key.clone())),
                 (
                     "status",
@@ -652,7 +648,7 @@ fn manifest_doc(
         ))
     });
     let doc = Json::obj(vec![
-        ("schema_version", int(u64::from(SCHEMA_VERSION))),
+        ("schema_version", Json::from(u64::from(SCHEMA_VERSION))),
         ("kind", Json::Str("campaign".to_owned())),
         ("name", Json::Str(spec.name.clone())),
         ("fingerprint", Json::Str(fingerprint.to_owned())),
@@ -670,18 +666,18 @@ fn manifest_doc(
                 ),
                 (
                     "kills",
-                    Json::Arr(spec.kills.iter().map(|&k| int(k as u64)).collect()),
+                    Json::Arr(spec.kills.iter().map(|&k| Json::from(k as u64)).collect()),
                 ),
-                ("plans_per_cell", int(spec.plans_per_cell as u64)),
-                ("seed", int(spec.seed)),
-                ("bursts", int(spec.bursts)),
-                ("spacing", int(spec.spacing)),
-                ("stall_limit", int(spec.stall_limit)),
+                ("plans_per_cell", Json::from(spec.plans_per_cell as u64)),
+                ("seed", Json::from(spec.seed)),
+                ("bursts", Json::from(spec.bursts)),
+                ("spacing", Json::from(spec.spacing)),
+                ("stall_limit", Json::from(spec.stall_limit)),
                 ("recovery", recovery),
             ]),
         ),
-        ("total", int(points.len() as u64)),
-        ("completed", int(completed as u64)),
+        ("total", Json::from(points.len() as u64)),
+        ("completed", Json::from(completed as u64)),
         ("points", Json::Arr(point_objs)),
     ]);
     let curves = curves_from(&doc);
@@ -780,10 +776,10 @@ pub fn curves_from(doc: &Json) -> Json {
             };
             Json::obj(vec![
                 ("layout", Json::Str(layout.clone())),
-                ("kills", int(*kills)),
-                ("plans", int(cell.len() as u64)),
-                ("done", int(done.len() as u64)),
-                ("failed", int(failed as u64)),
+                ("kills", Json::from(*kills)),
+                ("plans", Json::from(cell.len() as u64)),
+                ("done", Json::from(done.len() as u64)),
+                ("failed", Json::from(failed as u64)),
                 ("delivery_mean", Json::Num(mean("delivery_ratio"))),
                 (
                     "delivery_min",

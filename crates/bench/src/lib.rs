@@ -12,7 +12,6 @@
 pub mod cache;
 pub mod campaign;
 pub mod experiments;
-pub mod json;
 pub mod plot;
 pub mod report;
 pub mod sweep;

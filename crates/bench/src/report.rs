@@ -6,7 +6,7 @@
 //! router-grid heatmap of mean buffer occupancy — the textual analogue of
 //! the paper's center-vs-edge utilization figures (Figs. 1–2).
 
-use crate::json::Json;
+use heteronoc_obs::json::Json;
 
 /// Shade ramp for heatmaps, darkest last.
 const SHADES: [char; 10] = [' ', '.', ':', '-', '=', '+', '*', '#', '%', '@'];
@@ -344,8 +344,8 @@ mod tests {
 
     fn epoch(start: u64, end: u64, occ: Vec<f64>) -> Json {
         Json::obj(vec![
-            ("start", Json::Int(start as i64)),
-            ("end", Json::Int(end as i64)),
+            ("start", Json::from(start)),
+            ("end", Json::from(end)),
             ("injected", Json::Int(4)),
             ("ejected", Json::Int(3)),
             (

@@ -46,11 +46,11 @@ use heteronoc::traffic::patterns::{
 use heteronoc::traffic::workloads::{Benchmark, SyntheticWorkload};
 use heteronoc::traffic::TraceSource;
 use heteronoc_cmp::{CmpConfig, CmpSystem, CoreParams};
+use heteronoc_obs::json::Json;
 use heteronoc_obs::{ProgressSink, Registry, Snapshot};
 use heteronoc_verify::{lint_config, run_with_degradation, Injection, LintOptions};
 
 use crate::cache::{content_key, ResultCache, SCHEMA_VERSION};
-use crate::json::Json;
 use crate::{results_dir, Measured};
 
 /// A traffic pattern as *data*, so sweep points can be hashed for the
@@ -292,15 +292,15 @@ impl PointMetrics {
             ("throughput", Json::Num(self.throughput)),
             ("power_w", Json::Num(self.power_w)),
             ("saturated", Json::Bool(self.saturated)),
-            ("cycles", int(self.cycles)),
-            ("delivered", int(self.delivered)),
-            ("dropped", int(self.dropped)),
-            ("retransmissions", int(self.retransmissions)),
-            ("flits_corrupted", int(self.flits_corrupted)),
-            ("reroutes", int(self.reroutes)),
+            ("cycles", Json::from(self.cycles)),
+            ("delivered", Json::from(self.delivered)),
+            ("dropped", Json::from(self.dropped)),
+            ("retransmissions", Json::from(self.retransmissions)),
+            ("flits_corrupted", Json::from(self.flits_corrupted)),
+            ("reroutes", Json::from(self.reroutes)),
             ("mean_ipc", Json::Num(self.mean_ipc)),
             ("cached", Json::Bool(self.cached)),
-            ("attempts", int(self.attempts)),
+            ("attempts", Json::from(self.attempts)),
             ("epochs", self.epochs.clone().unwrap_or(Json::Null)),
             (
                 "sched",
@@ -352,19 +352,19 @@ impl PointMetrics {
 /// Serializes scheduler counters to the sweep-JSON schema.
 fn sched_to_json(s: &SchedReport) -> Json {
     Json::obj(vec![
-        ("cycles", int(s.cycles)),
-        ("full_cycles", int(s.full_cycles)),
-        ("idle_cycles", int(s.idle_cycles)),
-        ("jumped_cycles", int(s.jumped_cycles)),
-        ("router_visits", int(s.router_visits)),
-        ("router_visits_skipped", int(s.router_visits_skipped)),
+        ("cycles", Json::from(s.cycles)),
+        ("full_cycles", Json::from(s.full_cycles)),
+        ("idle_cycles", Json::from(s.idle_cycles)),
+        ("jumped_cycles", Json::from(s.jumped_cycles)),
+        ("router_visits", Json::from(s.router_visits)),
+        ("router_visits_skipped", Json::from(s.router_visits_skipped)),
         (
             "wakes",
-            Json::Arr(s.wakes.iter().map(|&w| int(w)).collect()),
+            Json::Arr(s.wakes.iter().map(|&w| Json::from(w)).collect()),
         ),
         (
             "wake_hist",
-            Json::Arr(s.wake_hist.iter().map(|&w| int(w)).collect()),
+            Json::Arr(s.wake_hist.iter().map(|&w| Json::from(w)).collect()),
         ),
     ])
 }
@@ -411,10 +411,6 @@ impl Measured for PointMetrics {
     fn saturated(&self) -> bool {
         self.saturated || self.error.is_some()
     }
-}
-
-fn int(v: u64) -> Json {
-    i64::try_from(v).map_or(Json::Num(v as f64), Json::Int)
 }
 
 /// A named grid of sweep points.
@@ -615,13 +611,13 @@ impl SweepOutcome {
     /// The full machine-readable schema.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema_version", Json::Int(i64::from(SCHEMA_VERSION))),
+            ("schema_version", Json::from(u64::from(SCHEMA_VERSION))),
             ("name", Json::Str(self.name.clone())),
-            ("jobs", int(self.jobs as u64)),
-            ("num_points", int(self.points.len() as u64)),
-            ("cache_hits", int(self.cache_hits as u64)),
-            ("simulated", int(self.simulated as u64)),
-            ("interrupted", int(self.interrupted as u64)),
+            ("jobs", Json::from(self.jobs as u64)),
+            ("num_points", Json::from(self.points.len() as u64)),
+            ("cache_hits", Json::from(self.cache_hits as u64)),
+            ("simulated", Json::from(self.simulated as u64)),
+            ("interrupted", Json::from(self.interrupted as u64)),
             ("cache_hit_rate", Json::Num(self.cache_hit_rate())),
             ("wall_secs", Json::Num(self.wall_secs)),
             ("points", self.points_json()),
@@ -1175,9 +1171,9 @@ fn execute(
 pub fn epochs_to_json(samples: &[EpochSample]) -> Json {
     let pctls = |p: &heteronoc::noc::stats::Pctls| {
         Json::obj(vec![
-            ("p50", int(p.p50)),
-            ("p95", int(p.p95)),
-            ("p99", int(p.p99)),
+            ("p50", Json::from(p.p50)),
+            ("p95", Json::from(p.p95)),
+            ("p99", Json::from(p.p99)),
         ])
     };
     Json::Arr(
@@ -1185,10 +1181,10 @@ pub fn epochs_to_json(samples: &[EpochSample]) -> Json {
             .iter()
             .map(|s| {
                 Json::obj(vec![
-                    ("start", int(s.start)),
-                    ("end", int(s.end)),
-                    ("injected", int(s.injected)),
-                    ("ejected", int(s.ejected)),
+                    ("start", Json::from(s.start)),
+                    ("end", Json::from(s.end)),
+                    ("injected", Json::from(s.injected)),
+                    ("ejected", Json::from(s.ejected)),
                     (
                         "buffer_occ",
                         Json::Arr(s.buffer_occ.iter().map(|&x| Json::Num(x)).collect()),

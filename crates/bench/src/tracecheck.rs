@@ -8,8 +8,7 @@
 //! cycle order, so a violation means a corrupted or interleaved file).
 
 use heteronoc::noc::trace::EVENT_KINDS;
-
-use crate::json::{parse, Json};
+use heteronoc_obs::json::{parse, Json};
 
 /// Summary of a validated trace.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

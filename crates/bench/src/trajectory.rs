@@ -30,8 +30,8 @@ use heteronoc::noc::network::Network;
 use heteronoc::noc::sched::EngineMode;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Stepper, UniformRandom};
 use heteronoc::noc::types::Rate;
+use heteronoc_obs::json::{self, Json};
 
-use crate::json::{self, Json};
 use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, TrafficSpec};
 
 /// Version of the `BENCH_*.json` record layout. Bump on any change to the
@@ -108,7 +108,7 @@ impl BenchRecord {
     /// Serializes to the `BENCH_*.json` document.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
-            ("schema", Json::Int(i64::from(BENCH_SCHEMA))),
+            ("schema", Json::from(u64::from(BENCH_SCHEMA))),
             ("git_sha", Json::Str(self.git_sha.clone())),
             ("quick", Json::Bool(self.quick)),
             (

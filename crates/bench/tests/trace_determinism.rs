@@ -95,7 +95,7 @@ fn sweep_embeds_epochs_and_stays_jobs_independent() {
         let last_end = arr
             .last()
             .and_then(|e| e.get("end"))
-            .and_then(heteronoc_bench::json::Json::as_u64)
+            .and_then(heteronoc_obs::json::Json::as_u64)
             .expect("epoch end");
         assert_eq!(last_end, p.cycles);
         // wall_secs is run-specific and must stay out of the JSON.
@@ -110,7 +110,7 @@ fn sweep_embeds_epochs_and_stays_jobs_independent() {
 /// boundaries interleave mid-run.
 #[test]
 fn progress_streaming_never_perturbs_traces_stats_or_checkpoints() {
-    use heteronoc_bench::json::Json;
+    use heteronoc_obs::json::Json;
     use heteronoc_obs::ProgressSink;
 
     let dir = std::env::temp_dir().join(format!("heteronoc-progress-det-{}", std::process::id()));
@@ -156,13 +156,13 @@ fn progress_streaming_never_perturbs_traces_stats_or_checkpoints() {
     let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() >= 3, "expected interleaved snapshots:\n{text}");
     for (i, line) in lines.iter().enumerate() {
-        let snap = heteronoc_bench::json::parse(line).expect("snapshot parses");
+        let snap = heteronoc_obs::json::parse(line).expect("snapshot parses");
         assert_eq!(snap.get("schema").and_then(Json::as_u64), Some(1));
         assert_eq!(snap.get("kind").and_then(Json::as_str), Some("sim"));
         assert_eq!(snap.get("seq").and_then(Json::as_u64), Some(i as u64));
         assert!(snap.get("counters").is_some(), "{line}");
     }
-    let last = heteronoc_bench::json::parse(lines.last().expect("nonempty")).expect("parses");
+    let last = heteronoc_obs::json::parse(lines.last().expect("nonempty")).expect("parses");
     assert_eq!(last.get("done").and_then(Json::as_bool), Some(true));
     let final_cycle = last.get("cycle").and_then(Json::as_u64).expect("cycle");
     assert!(final_cycle > 0);

@@ -807,9 +807,9 @@ fn cmd_trace(a: &Args) -> Result<(), String> {
 /// `heteronoc report`: render the epoch time-series embedded in a sweep's
 /// `results/<name>.json`.
 fn cmd_report(a: &Args) -> Result<(), String> {
-    use heteronoc_bench::json::{parse, Json};
     use heteronoc_bench::report::{compare_sweeps, render_campaign, render_results};
     use heteronoc_bench::results_dir;
+    use heteronoc_obs::json::{parse, Json};
 
     // `report --compare a.json b.json`: side-by-side latency/power/
     // throughput deltas of two sweep results files.
@@ -857,8 +857,8 @@ fn cmd_report(a: &Args) -> Result<(), String> {
 /// Renders one progress snapshot as a dashboard block: a kind-specific
 /// headline, the shared wall-clock line, and the fastest-moving counter
 /// deltas since the previous snapshot.
-fn render_top_block(snap: &heteronoc_bench::json::Json) -> String {
-    use heteronoc_bench::json::Json;
+fn render_top_block(snap: &heteronoc_obs::json::Json) -> String {
+    use heteronoc_obs::json::Json;
 
     let kind = snap.get("kind").and_then(Json::as_str).unwrap_or("?");
     let u = |k: &str| snap.get(k).and_then(Json::as_u64).unwrap_or(0);
@@ -925,7 +925,7 @@ fn render_top_block(snap: &heteronoc_bench::json::Json) -> String {
 /// snapshot of every stream kind; exits when all streams are done, on
 /// SIGINT/SIGTERM, or after a single render with `--once`.
 fn cmd_top(a: &Args) -> Result<(), String> {
-    use heteronoc_bench::json::{parse, Json};
+    use heteronoc_obs::json::{parse, Json};
     use heteronoc_obs::PROGRESS_SCHEMA;
 
     let path = a
@@ -1276,7 +1276,8 @@ fn cmd_lint(a: &Args) -> Result<(), String> {
     use heteronoc::noc::topology::TopologyKind;
     use heteronoc::noc::types::{Bits, RouterId};
     use heteronoc::noc::RouterCfg;
-    use heteronoc_verify::{lint_config, Code, LintOptions};
+    use heteronoc_obs::json::Json;
+    use heteronoc_verify::{lint_config, Code, LintOptions, LintReport};
 
     if let Some(code) = a.get("explain") {
         let Some(c) = Code::parse(code) else {
@@ -1400,8 +1401,10 @@ fn cmd_lint(a: &Args) -> Result<(), String> {
     let warnings: usize = reports.iter().map(|r| r.warnings().count()).sum();
 
     if a.flag("json") {
-        let objs: Vec<String> = reports.iter().map(|r| r.to_json()).collect();
-        println!("[{}]", objs.join(","));
+        println!(
+            "{}",
+            Json::Arr(reports.iter().map(LintReport::json).collect())
+        );
     } else {
         for r in &reports {
             print!("{}", r.render_human());

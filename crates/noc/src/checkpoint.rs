@@ -56,7 +56,10 @@ pub const MAGIC: [u8; 8] = *b"HNCKPT01";
 
 /// Bump when the body layout changes; old files then fail with
 /// [`CheckpointError::BadVersion`] instead of decoding garbage.
-pub const SCHEMA_VERSION: u32 = 1;
+///
+/// * v1 — initial layout.
+/// * v2 — latency histograms also store their exact sample sum.
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Fixed header size in bytes (see the module-level format table).
 pub const HEADER_LEN: usize = 48;

@@ -1724,18 +1724,18 @@ mod tests {
 
         assert_eq!(
             (ckpt.cycle, ckpt.body.len(), fnv1a64(&ckpt.body)),
-            (300, 84_090, 0xC020_371C_3232_54FC),
+            (300, 84_250, 0x9321_D93C_6553_7C77),
             "checkpoint body bytes changed"
         );
         assert_eq!(
             s.digest(),
-            0x9E1E_1961_7EF5_9DDB,
+            0x6366_7F59_9209_FB2C,
             "state digest at cycle 300"
         );
         s.run_to(420).unwrap();
         assert_eq!(
             s.digest(),
-            0x04EA_04E3_8C04_FCFA,
+            0x8E88_B7A8_175E_2608,
             "state digest at cycle 420"
         );
     }

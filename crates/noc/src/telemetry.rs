@@ -17,46 +17,42 @@
 //! the source structs and draws no randomness — the registry is
 //! observational only and cannot perturb simulation determinism.
 
-use heteronoc_obs::{Instrument, LogHistogram, Registry};
+use heteronoc_obs::{Instrument, Registry};
 
 use crate::fault::{FaultCounters, RecoveryCounters};
 use crate::network::Network;
 use crate::profile::{ProfileReport, STAGES};
 use crate::sched::SchedReport;
 use crate::sim::SimOutcome;
-use crate::stats::{LatencyHistogram, NetStats};
+use crate::stats::NetStats;
 
-/// Converts an engine-side [`LatencyHistogram`] into an obs
-/// [`LogHistogram`]. Bucket indices coincide (both bucket by the highest
-/// set bit), so counts transfer exactly; the sum is reconstructed from
-/// bucket lower edges and is therefore a lower bound, not exact.
-pub fn latency_log_hist(h: &LatencyHistogram) -> LogHistogram {
-    let mut out = LogHistogram::new();
-    for (i, &c) in h.buckets().iter().enumerate() {
-        out.record_n(1u64 << i.min(63), c);
-    }
-    out
+/// Destructures `$s` as `$ty` without `..` and adds each field before the
+/// `;` as the counter `{prefix}.{field}`; the fields after it are bound for
+/// the caller to export by hand, or bound to `_` with the reason they are
+/// not exported. A counter added to `$ty` but not listed fails to compile.
+macro_rules! export_counters {
+    ($reg:ident, $prefix:ident, $s:expr => $ty:ident {
+        $($c:ident),* $(; $($o:ident $(: $skip:tt)?),*)? $(,)?
+    }) => {
+        let $ty { $($c,)* $($($o $(: $skip)?,)*)? } = $s;
+        $($reg.counter_add(&format!("{}.{}", $prefix, stringify!($c)), *$c);)*
+    };
 }
 
 impl Instrument for SchedReport {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        reg.counter_add(&format!("{prefix}.cycles"), self.cycles);
-        reg.counter_add(&format!("{prefix}.full_cycles"), self.full_cycles);
-        reg.counter_add(&format!("{prefix}.idle_cycles"), self.idle_cycles);
-        reg.counter_add(&format!("{prefix}.jumped_cycles"), self.jumped_cycles);
-        reg.counter_add(&format!("{prefix}.router_visits"), self.router_visits);
-        reg.counter_add(
-            &format!("{prefix}.router_visits_skipped"),
-            self.router_visits_skipped,
-        );
-        reg.counter_add(&format!("{prefix}.wakes.flit_arrive"), self.wakes[0]);
-        reg.counter_add(&format!("{prefix}.wakes.link_arrive"), self.wakes[1]);
-        reg.counter_add(&format!("{prefix}.wakes.restore"), self.wakes[2]);
+        export_counters!(reg, prefix, self => SchedReport {
+            cycles, full_cycles, idle_cycles, jumped_cycles, router_visits,
+            router_visits_skipped; wakes, wake_hist
+        });
+        for (reason, &n) in ["flit_arrive", "link_arrive", "restore"].iter().zip(wakes) {
+            reg.counter_add(&format!("{prefix}.wakes.{reason}"), n);
+        }
         // Wake-set-size histogram: bucket 0 is size 0; bucket i >= 1 covers
         // sizes [2^(i-1), 2^i - 1]; the top bucket is unbounded. Exported
-        // as per-bucket counters (b0..b7) because the zero bucket has no
-        // representation in a log histogram over positive samples.
-        for (i, &c) in self.wake_hist.iter().enumerate() {
+        // as per-bucket counters (b0..b7) because its buckets are offset by
+        // one from the log histogram's.
+        for (i, &c) in wake_hist.iter().enumerate() {
             reg.counter_add(&format!("{prefix}.wake_hist.b{i}"), c);
         }
     }
@@ -64,81 +60,76 @@ impl Instrument for SchedReport {
 
 impl Instrument for FaultCounters {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        reg.counter_add(&format!("{prefix}.flits_corrupted"), self.flits_corrupted);
-        reg.counter_add(&format!("{prefix}.retransmissions"), self.retransmissions);
-        reg.counter_add(&format!("{prefix}.retries"), self.retries);
-        reg.counter_add(&format!("{prefix}.timeouts"), self.timeouts);
-        reg.counter_add(
-            &format!("{prefix}.flits_lost_dead_router"),
-            self.flits_lost_dead_router,
-        );
-        reg.counter_add(&format!("{prefix}.packets_dropped"), self.packets_dropped);
-        reg.counter_add(&format!("{prefix}.links_dead"), self.links_dead);
-        reg.counter_add(&format!("{prefix}.routers_dead"), self.routers_dead);
+        export_counters!(reg, prefix, self => FaultCounters {
+            flits_corrupted, retransmissions, retries, timeouts,
+            flits_lost_dead_router, packets_dropped, links_dead, routers_dead,
+        });
     }
 }
 
 impl Instrument for RecoveryCounters {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        reg.counter_add(&format!("{prefix}.acks"), self.acks);
-        reg.counter_add(&format!("{prefix}.reinjections"), self.reinjections);
-        reg.counter_add(&format!("{prefix}.reinjected_flits"), self.reinjected_flits);
-        reg.counter_add(
-            &format!("{prefix}.duplicates_suppressed"),
-            self.duplicates_suppressed,
-        );
-        reg.counter_add(&format!("{prefix}.recovered"), self.recovered);
-        reg.counter_add(&format!("{prefix}.lost"), self.lost);
+        export_counters!(reg, prefix, self => RecoveryCounters {
+            acks, reinjections, reinjected_flits, duplicates_suppressed,
+            recovered, lost, retention_stalls; retention_peak
+        });
         // High-water mark, not a monotone count: gauge (merge keeps max).
-        reg.set_gauge(
-            &format!("{prefix}.retention_peak"),
-            self.retention_peak as f64,
-        );
-        reg.counter_add(&format!("{prefix}.retention_stalls"), self.retention_stalls);
+        reg.set_gauge(&format!("{prefix}.retention_peak"), *retention_peak as f64);
     }
 }
 
 impl Instrument for ProfileReport {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        reg.counter_add(&format!("{prefix}.steps"), self.steps);
-        for stage in STAGES {
-            reg.counter_add(
-                &format!("{prefix}.stage_nanos.{}", stage.label()),
-                self.nanos(stage),
-            );
+        export_counters!(reg, prefix, self => ProfileReport { steps; stage_nanos, sched });
+        // `stage_nanos` is indexed like `STAGES`.
+        for (stage, &n) in STAGES.iter().zip(stage_nanos) {
+            reg.counter_add(&format!("{prefix}.stage_nanos.{}", stage.label()), n);
         }
-        self.sched.export(reg, &format!("{prefix}.sched"));
+        sched.export(reg, &format!("{prefix}.sched"));
     }
 }
 
 impl Instrument for NetStats {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        reg.counter_add(&format!("{prefix}.cycles"), self.cycles);
-        reg.counter_add(&format!("{prefix}.packets_offered"), self.packets_offered);
-        reg.counter_add(&format!("{prefix}.packets_retired"), self.packets_retired);
-        reg.counter_add(&format!("{prefix}.flits_retired"), self.flits_retired);
+        export_counters!(reg, prefix, self => NetStats {
+            cycles, packets_offered, packets_retired, flits_retired;
+            latency_dist,
+            // The histograms carry the counts and exact sums these hold.
+            latency: _,
+            // Per-class, per-router, per-link and per-packet detail stays
+            // in the results files; the registry carries network totals.
+            latency_by_class: _, dist_by_class: _, buffer_occ_integral: _,
+            vc_busy_integral: _, vc_counts: _, buffer_slots: _, links: _,
+            routers: _, records: _
+        });
         for (name, h) in [
-            ("total", &self.latency_dist.total),
-            ("queuing", &self.latency_dist.queuing),
-            ("blocking", &self.latency_dist.blocking),
-            ("transfer", &self.latency_dist.transfer),
+            ("total", &latency_dist.total),
+            ("queuing", &latency_dist.queuing),
+            ("blocking", &latency_dist.blocking),
+            ("transfer", &latency_dist.transfer),
         ] {
-            reg.merge_hist(&format!("{prefix}.latency.{name}"), &latency_log_hist(h));
+            reg.merge_hist(&format!("{prefix}.latency.{name}"), h);
         }
     }
 }
 
 impl Instrument for SimOutcome {
     fn export(&self, reg: &mut Registry, prefix: &str) {
-        self.stats.export(reg, prefix);
-        self.sched.export(reg, &format!("{prefix}.sched"));
-        self.fault_counters.export(reg, &format!("{prefix}.fault"));
-        if let Some(p) = &self.profile {
+        export_counters!(reg, prefix, self => SimOutcome {
+            dropped; stats, saturated, cycles, fault_counters, profile, sched,
+            // A run parameter, not a measurement.
+            frequency_ghz: _,
+            // A time series; results files embed it (`epochs_to_json`).
+            epochs: _
+        });
+        stats.export(reg, prefix);
+        sched.export(reg, &format!("{prefix}.sched"));
+        fault_counters.export(reg, &format!("{prefix}.fault"));
+        if let Some(p) = profile {
             p.export(reg, &format!("{prefix}.profile"));
         }
-        reg.counter_add(&format!("{prefix}.sim_cycles"), self.cycles);
-        reg.counter_add(&format!("{prefix}.dropped"), self.dropped);
-        if self.saturated {
+        reg.counter_add(&format!("{prefix}.sim_cycles"), *cycles);
+        if *saturated {
             reg.counter_add(&format!("{prefix}.saturated"), 1);
         }
     }
@@ -167,19 +158,31 @@ mod tests {
     use crate::config::NetworkConfig;
 
     #[test]
-    fn latency_hist_conversion_preserves_counts_and_quantiles() {
-        let mut h = LatencyHistogram::new();
-        for v in [1u64, 3, 9, 9, 40, 300] {
-            h.add(v);
+    fn latency_export_carries_exact_sums() {
+        use crate::sim::{SimParams, SimRun};
+        use crate::types::Rate;
+
+        let net = Network::new(NetworkConfig::paper_baseline()).unwrap();
+        let params = SimParams {
+            injection_rate: Rate::new(0.02),
+            warmup_packets: 50,
+            measure_packets: 300,
+            ..SimParams::default()
+        };
+        let out = SimRun::new(net, params).run().unwrap();
+        let mut reg = Registry::new();
+        out.export(&mut reg, "noc.stats");
+        let total = reg.hist("noc.stats.latency.total").unwrap();
+        assert_eq!(total.count(), out.stats.latency.count);
+        assert_eq!(total.sum(), out.stats.latency.total);
+        for (name, sum) in [
+            ("queuing", out.stats.latency.queuing),
+            ("blocking", out.stats.latency.blocking),
+            ("transfer", out.stats.latency.transfer),
+        ] {
+            let h = reg.hist(&format!("noc.stats.latency.{name}")).unwrap();
+            assert_eq!(h.sum(), sum, "{name}");
         }
-        let log = latency_log_hist(&h);
-        assert_eq!(log.count(), h.count());
-        assert_eq!(
-            log.quantile_upper_bound(0.5),
-            h.quantile_upper_bound(0.5),
-            "same bucket layout must give identical quantile bounds"
-        );
-        assert_eq!(log.quantile_upper_bound(0.99), h.quantile_upper_bound(0.99));
     }
 
     #[test]

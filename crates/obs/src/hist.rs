@@ -2,20 +2,23 @@
 //!
 //! [`LogHistogram`] buckets samples by the position of their highest set
 //! bit: bucket `i` covers the value range `[2^i, 2^(i+1) - 1]` (bucket 0
-//! holds 1, bucket 1 holds 2–3, and so on — zero samples clamp to 1). This
-//! mirrors the latency histogram the stats pipeline has always used, keeps
-//! `record` branch-free and allocation-free (a single `leading_zeros` plus
-//! an array increment), and makes merging shards *exact*: bucket counts
+//! holds 0 and 1, bucket 1 holds 2–3, and so on). It is the one histogram
+//! of the workspace: the engine's latency decomposition (`LatencyDist`)
+//! and the epoch recorder hold it directly, and the registry exports it
+//! unchanged. The layout keeps `record` branch-free and allocation-free (a
+//! single `leading_zeros` plus an array increment), carries the exact sum
+//! of the samples, and makes merging shards *exact*: bucket counts and sums
 //! simply add, so a histogram built from `N` sweep shards is bit-identical
 //! to one built single-threaded.
 //!
 //! The price is quantile resolution: [`LogHistogram::quantile_upper_bound`]
 //! returns the top of the bucket containing the requested rank, which
 //! overestimates the exact order statistic by at most 2× (precisely:
-//! `q ≤ bound ≤ 2·q − 1` for any non-empty histogram). The proptests in
-//! `tests/hist_props.rs` pin both the merge algebra and this error bound.
+//! `max(q, 1) ≤ bound ≤ 2·max(q, 1) − 1` for any non-empty histogram). The
+//! proptests in `tests/hist_props.rs` pin both the merge algebra and this
+//! error bound.
 
-use crate::jsonw::push_json_f64;
+use crate::json::Json;
 
 /// Number of power-of-two buckets — enough for any `u64` sample.
 pub const BUCKETS: usize = 64;
@@ -62,22 +65,26 @@ impl LogHistogram {
         }
     }
 
-    /// Record one sample. Zero clamps to 1 (bucket 0).
+    /// Rebuilds a histogram from its stored parts: the bucket counts
+    /// (trailing empty buckets may be omitted), the sample count and the
+    /// sum. Returns `None` for more than [`BUCKETS`] buckets or a count
+    /// that disagrees with the buckets, so decoders of outside bytes get a
+    /// typed rejection instead of a panic or an inconsistent value.
+    pub fn from_parts(buckets: &[u64], count: u64, sum: u64) -> Option<Self> {
+        let mut h = Self::new();
+        h.buckets.get_mut(..buckets.len())?.copy_from_slice(buckets);
+        let total = buckets
+            .iter()
+            .try_fold(0u64, |acc, &b| acc.checked_add(b))?;
+        (total == count).then_some(Self { count, sum, ..h })
+    }
+
+    /// Record one sample (zero lands in bucket 0).
     #[inline]
     pub fn record(&mut self, value: u64) {
         self.buckets[bucket_of(value)] += 1;
         self.count += 1;
-        self.sum = self.sum.saturating_add(value.max(1));
-    }
-
-    /// Record `n` occurrences of `value` at once.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_of(value)] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(value.max(1).saturating_mul(n));
+        self.sum = self.sum.saturating_add(value);
     }
 
     /// Fold another shard into this one. Exact: bucket counts add, so the
@@ -95,7 +102,7 @@ impl LogHistogram {
         self.count
     }
 
-    /// Sum of all recorded samples (zeros counted as 1; saturating).
+    /// Exact sum of all recorded samples (saturating at `u64::MAX`).
     pub fn sum(&self) -> u64 {
         self.sum
     }
@@ -140,32 +147,17 @@ impl LogHistogram {
         &self.buckets
     }
 
-    /// Inclusive lower edge of bucket `i` (`2^i`).
-    pub fn bucket_lo(i: usize) -> u64 {
-        1u64 << i.min(BUCKETS - 1)
-    }
-
-    /// Inclusive upper edge of bucket `i`.
-    pub fn bucket_hi(i: usize) -> u64 {
-        bucket_hi(i)
-    }
-
-    /// Render a compact JSON summary object:
+    /// The JSON summary object
     /// `{"count":N,"sum":N,"mean":x,"p50":N,"p95":N,"p99":N}`.
-    pub(crate) fn push_json(&self, out: &mut String) {
-        out.push_str("{\"count\":");
-        out.push_str(&self.count.to_string());
-        out.push_str(",\"sum\":");
-        out.push_str(&self.sum.to_string());
-        out.push_str(",\"mean\":");
-        push_json_f64(out, self.mean());
-        out.push_str(",\"p50\":");
-        out.push_str(&self.quantile_upper_bound(0.50).to_string());
-        out.push_str(",\"p95\":");
-        out.push_str(&self.quantile_upper_bound(0.95).to_string());
-        out.push_str(",\"p99\":");
-        out.push_str(&self.quantile_upper_bound(0.99).to_string());
-        out.push('}');
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("count", Json::from(self.count)),
+            ("sum", Json::from(self.sum)),
+            ("mean", Json::Num(self.mean())),
+            ("p50", Json::from(self.quantile_upper_bound(0.50))),
+            ("p95", Json::from(self.quantile_upper_bound(0.95))),
+            ("p99", Json::from(self.quantile_upper_bound(0.99))),
+        ])
     }
 }
 
@@ -181,9 +173,8 @@ mod tests {
         assert_eq!(bucket_of(3), 1);
         assert_eq!(bucket_of(4), 2);
         assert_eq!(bucket_of(u64::MAX), 63);
-        assert_eq!(LogHistogram::bucket_lo(3), 8);
-        assert_eq!(LogHistogram::bucket_hi(3), 15);
-        assert_eq!(LogHistogram::bucket_hi(63), u64::MAX);
+        assert_eq!(bucket_hi(3), 15);
+        assert_eq!(bucket_hi(63), u64::MAX);
     }
 
     #[test]
@@ -228,26 +219,29 @@ mod tests {
     }
 
     #[test]
-    fn record_n_matches_loop() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record_n(37, 5);
-        for _ in 0..5 {
-            b.record(37);
+    fn from_parts_validates() {
+        let mut h = LogHistogram::new();
+        for v in [0u64, 1, 6, 6, 300] {
+            h.record(v);
         }
-        assert_eq!(a, b);
-        a.record_n(99, 0);
-        assert_eq!(a, b);
+        assert_eq!(h.sum(), 313, "zero samples add nothing to the sum");
+        let used = &h.buckets()[..9];
+        assert_eq!(LogHistogram::from_parts(used, 5, 313).as_ref(), Some(&h));
+        assert_eq!(
+            LogHistogram::from_parts(h.buckets(), 5, 313).as_ref(),
+            Some(&h)
+        );
+        assert_eq!(LogHistogram::from_parts(used, 4, 313), None);
+        assert_eq!(LogHistogram::from_parts(&[0; BUCKETS + 1], 0, 0), None);
+        assert_eq!(LogHistogram::from_parts(&[u64::MAX, 1], 0, 0), None);
     }
 
     #[test]
     fn json_summary_shape() {
         let mut h = LogHistogram::new();
         h.record(10);
-        let mut out = String::new();
-        h.push_json(&mut out);
         assert_eq!(
-            out,
+            h.to_json().to_string(),
             "{\"count\":1,\"sum\":10,\"mean\":10.0,\"p50\":15,\"p95\":15,\"p99\":15}"
         );
     }

@@ -5,7 +5,10 @@
 //! histograms) cheap enough to be always-on, plus a JSONL progress-stream
 //! sink that long-running jobs (simulations, sweeps, Monte Carlo campaigns)
 //! write periodic snapshots to so `heteronoc top` can render a live
-//! dashboard.
+//! dashboard. Being the lowest crate of the workspace, it also owns the two
+//! shared building blocks every layer above reuses: the one histogram type
+//! ([`LogHistogram`], which the engine's latency statistics hold directly)
+//! and the one JSON codec ([`json`]).
 //!
 //! Design constraints, in order:
 //!
@@ -22,8 +25,8 @@
 //!    sorted path order, and floats render via the shortest round-trip form
 //!    (`{:?}`), so identical states produce identical bytes.
 //!
-//! The crate is dependency-free (it sits *below* `heteronoc-noc` in the
-//! dependency graph) and carries its own tiny JSON writer.
+//! The crate is dependency-free: it sits *below* `heteronoc-noc` in the
+//! dependency graph.
 //!
 //! ## Quick start
 //!
@@ -44,9 +47,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod jsonw;
-
 pub mod hist;
+pub mod json;
 pub mod progress;
 pub mod registry;
 

@@ -17,7 +17,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::jsonw::{push_json_f64, push_json_str};
+use crate::json::Json;
 use crate::registry::Registry;
 
 /// Version of the progress snapshot line format. Bump on breaking changes
@@ -32,60 +32,49 @@ pub const PROGRESS_SCHEMA: u32 = 1;
 /// the fixed `schema`/`kind`/`seq` header.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    body: String,
+    members: Vec<(String, Json)>,
 }
 
 impl Snapshot {
     /// Start a snapshot of the given kind and sequence number.
     pub fn new(kind: &str, seq: u64) -> Self {
-        let mut body = String::with_capacity(256);
-        body.push_str("{\"schema\":");
-        body.push_str(&PROGRESS_SCHEMA.to_string());
-        body.push_str(",\"kind\":");
-        push_json_str(&mut body, kind);
-        body.push_str(",\"seq\":");
-        body.push_str(&seq.to_string());
-        Snapshot { body }
+        let mut snap = Snapshot {
+            members: Vec::with_capacity(16),
+        };
+        snap.field("schema", Json::from(u64::from(PROGRESS_SCHEMA)))
+            .field_str("kind", kind)
+            .field_u64("seq", seq);
+        snap
     }
 
-    fn key(&mut self, key: &str) -> &mut String {
-        self.body.push(',');
-        push_json_str(&mut self.body, key);
-        self.body.push(':');
-        &mut self.body
+    fn field(&mut self, key: &str, v: Json) -> &mut Self {
+        self.members.push((key.to_owned(), v));
+        self
     }
 
     /// Append an unsigned integer field.
     pub fn field_u64(&mut self, key: &str, v: u64) -> &mut Self {
-        self.key(key).push_str(&v.to_string());
-        self
+        self.field(key, Json::from(v))
     }
 
     /// Append a float field (`null` when non-finite).
     pub fn field_f64(&mut self, key: &str, v: f64) -> &mut Self {
-        let body = self.key(key);
-        push_json_f64(body, v);
-        self
+        self.field(key, Json::Num(v))
     }
 
     /// Append a string field.
     pub fn field_str(&mut self, key: &str, v: &str) -> &mut Self {
-        let body = self.key(key);
-        push_json_str(body, v);
-        self
+        self.field(key, Json::Str(v.to_owned()))
     }
 
     /// Append a boolean field.
     pub fn field_bool(&mut self, key: &str, v: bool) -> &mut Self {
-        self.key(key).push_str(if v { "true" } else { "false" });
-        self
+        self.field(key, Json::Bool(v))
     }
 
     /// Append the full registry as a nested object under `key`.
     pub fn registry(&mut self, key: &str, reg: &Registry) -> &mut Self {
-        let body = self.key(key);
-        reg.push_json(body);
-        self
+        self.field(key, reg.to_json())
     }
 
     /// Append counter increments of `reg` since `baseline` as a nested
@@ -95,25 +84,13 @@ impl Snapshot {
         if deltas.is_empty() {
             return self;
         }
-        let body = self.key(key);
-        body.push('{');
-        for (i, (path, d)) in deltas.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            push_json_str(body, path);
-            body.push(':');
-            body.push_str(&d.to_string());
-        }
-        body.push('}');
-        self
+        let obj = deltas.into_iter().map(|(p, d)| (p, Json::from(d)));
+        self.field(key, Json::Obj(obj.collect()))
     }
 
     /// Finish the line (no trailing newline).
     pub fn render(&self) -> String {
-        let mut out = self.body.clone();
-        out.push('}');
-        out
+        Json::Obj(self.members.clone()).to_string()
     }
 }
 

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::hist::LogHistogram;
-use crate::jsonw::{push_json_f64, push_json_str};
+use crate::json::Json;
 
 /// A single metric value.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,13 +76,6 @@ impl Registry {
                     .insert(path.to_string(), Metric::Hist(Box::new(h)));
             }
         }
-    }
-
-    /// Install a pre-built histogram at `path` (e.g. converted from an
-    /// engine-side latency distribution).
-    pub fn set_hist(&mut self, path: &str, h: LogHistogram) {
-        self.metrics
-            .insert(path.to_string(), Metric::Hist(Box::new(h)));
     }
 
     /// Merge `h` into the histogram at `path`, creating it if absent.
@@ -175,29 +168,23 @@ impl Registry {
         out
     }
 
-    /// Render as a single-line JSON object with dotted paths as keys:
-    /// counters and gauges as numbers, histograms as summary objects.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.push_json(&mut out);
-        out
-    }
-
-    pub(crate) fn push_json(&self, out: &mut String) {
-        out.push('{');
-        for (i, (path, m)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_json_str(out, path);
-            out.push(':');
-            match m {
-                Metric::Counter(c) => out.push_str(&c.to_string()),
-                Metric::Gauge(g) => push_json_f64(out, *g),
-                Metric::Hist(h) => h.push_json(out),
-            }
-        }
-        out.push('}');
+    /// The registry as one JSON object with dotted paths as keys, in
+    /// sorted order: counters and gauges as numbers, histograms as summary
+    /// objects ([`LogHistogram::to_json`]).
+    pub fn to_json(&self) -> Json {
+        Json::Obj(
+            self.metrics
+                .iter()
+                .map(|(path, m)| {
+                    let v = match m {
+                        Metric::Counter(c) => Json::from(*c),
+                        Metric::Gauge(g) => Json::Num(*g),
+                        Metric::Hist(h) => h.to_json(),
+                    };
+                    (path.clone(), v)
+                })
+                .collect(),
+        )
     }
 }
 
@@ -279,8 +266,15 @@ mod tests {
         let mut r = Registry::new();
         r.set_gauge("b.gauge", 2.5);
         r.counter_add("a.count", 1);
-        assert_eq!(r.to_json(), "{\"a.count\":1,\"b.gauge\":2.5}");
+        assert_eq!(r.to_json().to_string(), "{\"a.count\":1,\"b.gauge\":2.5}");
         assert_eq!(r.to_json(), r.clone().to_json());
+    }
+
+    #[test]
+    fn max_counter_renders_every_digit() {
+        let mut r = Registry::new();
+        r.set_counter("big", u64::MAX);
+        assert_eq!(r.to_json().to_string(), "{\"big\":18446744073709551615}");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 use std::fmt;
 
 use heteronoc_noc::types::{LinkId, NodeId, RouterId};
+use heteronoc_obs::json::Json;
 
 use crate::error::{LintWarning, VerifyError};
 
@@ -430,22 +431,18 @@ impl Span {
         }
     }
 
-    /// JSON object fragment for this span.
-    fn to_json(self) -> String {
-        match self {
-            Span::Config => "{\"kind\":\"config\"}".to_owned(),
-            Span::Router(r) => format!("{{\"kind\":\"router\",\"router\":{}}}", r.index()),
-            Span::Link(l) => format!("{{\"kind\":\"link\",\"link\":{}}}", l.index()),
-            Span::Channel { link, vc } => format!(
-                "{{\"kind\":\"channel\",\"link\":{},\"vc\":{vc}}}",
-                link.index()
-            ),
-            Span::Route { src, dst } => format!(
-                "{{\"kind\":\"route\",\"src\":{},\"dst\":{}}}",
-                src.index(),
-                dst.index()
-            ),
-        }
+    /// This span as a JSON object: its `kind`, then the ids it names.
+    fn json(self) -> Json {
+        let (kind, ids) = match self {
+            Span::Config => ("config", vec![]),
+            Span::Router(r) => ("router", vec![("router", r.index())]),
+            Span::Link(l) => ("link", vec![("link", l.index())]),
+            Span::Channel { link, vc } => ("channel", vec![("link", link.index()), ("vc", vc)]),
+            Span::Route { src, dst } => ("route", vec![("src", src.index()), ("dst", dst.index())]),
+        };
+        let mut members = vec![("kind", Json::Str(kind.into()))];
+        members.extend(ids.into_iter().map(|(k, i)| (k, Json::from(i as u64))));
+        Json::obj(members)
     }
 }
 
@@ -498,16 +495,15 @@ impl Diagnostic {
         )
     }
 
-    /// One JSON object (hand-rolled; the workspace is offline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"span\":{},\"message\":\"{}\"}}",
-            self.code.as_str(),
-            self.code.name(),
-            self.severity(),
-            self.span.to_json(),
-            json_escape(&self.message)
-        )
+    /// This finding as one JSON object.
+    pub fn json(&self) -> Json {
+        Json::obj(vec![
+            ("code", Json::Str(self.code.as_str().into())),
+            ("name", Json::Str(self.code.name().into())),
+            ("severity", Json::Str(self.severity().to_string())),
+            ("span", self.span.json()),
+            ("message", Json::Str(self.message.clone())),
+        ])
     }
 
     /// Maps a typed [`VerifyError`] onto the diagnostic registry (the port
@@ -571,23 +567,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,7 +602,7 @@ mod tests {
             Span::Link(LinkId(7)),
             "cap 0.25 \"flits\"/cycle\nline two",
         );
-        let j = d.to_json();
+        let j = d.json().to_string();
         assert!(j.contains("\"code\":\"HN-W005\""), "{j}");
         assert!(j.contains("\"link\":7"), "{j}");
         assert!(j.contains("\\\"flits\\\""), "{j}");

@@ -24,10 +24,11 @@ use heteronoc_noc::fault::FaultPlan;
 use heteronoc_noc::routing::RoutingKind;
 use heteronoc_noc::topology::TopologyGraph;
 use heteronoc_noc::types::LinkId;
+use heteronoc_obs::json::Json;
 
 use crate::cdg::{Cdg, EscapeModel};
 use crate::credit::analyze_credit;
-use crate::diag::{json_escape, Code, Diagnostic, Severity, Span};
+use crate::diag::{Code, Diagnostic, Severity, Span};
 use crate::faultplan::analyze_fault_plan;
 use crate::lint::lint_budget;
 use crate::protocol::{analyze_protocol, ProtocolModel};
@@ -117,15 +118,21 @@ impl LintReport {
         s
     }
 
-    /// Renders the report as one JSON object:
+    /// The report as one JSON object:
     /// `{"name": ..., "diagnostics": [...]}`.
+    pub fn json(&self) -> Json {
+        Json::obj(vec![
+            ("name", Json::Str(self.name.clone())),
+            (
+                "diagnostics",
+                Json::Arr(self.diagnostics.iter().map(Diagnostic::json).collect()),
+            ),
+        ])
+    }
+
+    /// [`LintReport::json`], rendered on one line.
     pub fn to_json(&self) -> String {
-        let diags: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
-        format!(
-            "{{\"name\":\"{}\",\"diagnostics\":[{}]}}",
-            json_escape(&self.name),
-            diags.join(",")
-        )
+        self.json().to_string()
     }
 }
 

@@ -10,7 +10,7 @@ use heteronoc::noc::fault::{FaultKind, FaultPlan, HardFault};
 use heteronoc::noc::topology::TopologyKind;
 use heteronoc::noc::types::{Bits, LinkId, RouterId};
 use heteronoc::{mesh_config, Layout};
-use heteronoc_bench::json;
+use heteronoc_obs::json;
 use heteronoc_verify::{lint_config, verify_config, Code, Diagnostic, LintOptions, Severity};
 
 /// A homogeneous 8x8 network with arbitrary (possibly degenerate) router
