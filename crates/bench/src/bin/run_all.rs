@@ -1,7 +1,9 @@
-//! Runs every experiment in-process, sharded across the sweep executor's
-//! worker pool (set `HETERONOC_JOBS=1` for the old serial behavior and
-//! `HETERONOC_FULL=1` for paper-scale runs). Each experiment's stdout is
-//! captured and printed as one contiguous block when it finishes; a panic
+//! Runs the paper's experiments in-process: `run_all [<name>…]` runs the
+//! named experiments of `experiments::ALL`, or every one when no name is
+//! given, sharded across the sweep executor's worker pool (set
+//! `HETERONOC_JOBS=1` for the old serial behavior and `HETERONOC_FULL=1`
+//! for paper-scale runs). Each experiment's stdout is captured and printed
+//! as one contiguous block when it finishes; an unknown name or a panic
 //! anywhere makes the whole run exit non-zero.
 
 use std::io::Write as _;
@@ -12,13 +14,29 @@ use heteronoc_bench::sweep::{default_jobs, parallel_map};
 use heteronoc_bench::{capture_output, experiments};
 
 fn main() -> ExitCode {
+    let mut selected: Vec<(&str, fn())> = Vec::new();
+    for name in std::env::args().skip(1) {
+        let Some(&entry) = experiments::ALL.iter().find(|(n, _)| *n == name) else {
+            let valid: Vec<&str> = experiments::ALL.iter().map(|(n, _)| *n).collect();
+            eprintln!(
+                "error: unknown experiment '{name}'; valid names: {}",
+                valid.join(", ")
+            );
+            return ExitCode::FAILURE;
+        };
+        selected.push(entry);
+    }
+    if selected.is_empty() {
+        selected = experiments::ALL.to_vec();
+    }
+
     let jobs = default_jobs();
     println!(
         "running {} experiments on {jobs} worker thread(s)",
-        experiments::ALL.len()
+        selected.len()
     );
 
-    let results = parallel_map(jobs, experiments::ALL.to_vec(), |(name, entry)| {
+    let results = parallel_map(jobs, selected, |(name, entry)| {
         let (outcome, output) = capture_output(|| catch_unwind(AssertUnwindSafe(entry)));
         // One locked write per experiment keeps blocks contiguous even
         // when several finish close together.

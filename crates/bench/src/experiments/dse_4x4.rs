@@ -111,20 +111,22 @@ pub fn run() {
         }
         let outcome = run_sweep(&sweep, &SweepOptions::default()).expect("dse sweep");
         outcome.write_json().expect("write dse json");
-        rep.line(format!(
+        // Wall time and cache hits vary run to run, so they stay out of
+        // the report file.
+        eprintln!(
             "evaluated {} canonical placements in {:.2}s on {} worker(s) ({} cached)",
             outcome.points.len(),
             outcome.wall_secs,
             outcome.jobs,
             outcome.cache_hits,
-        ));
+        );
 
         let mut scored: Vec<ScoredPlacement> = canon
             .iter()
             .zip(&outcome.points)
             .map(|(p, m)| ScoredPlacement {
                 placement: p.clone(),
-                score: if m.saturated || m.error.is_some() {
+                score: if m.saturated_or_failed() {
                     1e9
                 } else {
                     m.latency_cycles

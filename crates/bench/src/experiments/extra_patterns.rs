@@ -2,7 +2,7 @@
 //! transpose, bit-complement and self-similar traffic patterns (not shown
 //! here due to space limitations) and observed that the load-latency and
 //! power consumption curves are very similar in trend to those obtained
-//! with UR traffic." This binary generates those curves (plus bit-reverse,
+//! with UR traffic." This experiment generates those curves (plus bit-reverse,
 //! tornado and shuffle) so the claim can be inspected.
 
 use crate::{default_params, pct_reduction, Report};

@@ -162,9 +162,10 @@ pub fn run() {
         }
     }
 
-    rep.line("");
-    rep.line(format!(
+    // Wall time and cache hits vary run to run, so they stay out of the
+    // report file.
+    eprintln!(
         "# sweeps: transient {:.2}s ({} cached), hard {:.2}s ({} cached), {} worker(s)",
         t_out.wall_secs, t_out.cache_hits, h_out.wall_secs, h_out.cache_hits, t_out.jobs,
-    ));
+    );
 }

@@ -46,7 +46,9 @@ pub fn run() {
     let opts = SweepOptions::default();
     let outcome = run_sweep(&sweep, &opts).expect("fig07 sweep");
     outcome.write_json().expect("write fig07 json");
-    rep.line(format!(
+    // Wall time and cache hits vary run to run, so they stay out of the
+    // report file.
+    eprintln!(
         "# sweep: {} points ({} simulated, {} cached, {:.0}% hit rate), {:.2}s wall on {} worker(s)",
         outcome.points.len(),
         outcome.simulated,
@@ -54,7 +56,7 @@ pub fn run() {
         100.0 * outcome.cache_hit_rate(),
         outcome.wall_secs,
         outcome.jobs,
-    ));
+    );
 
     // Grid order is layout-major: one chunk of `rates` per layout.
     let results: Vec<(String, &[PointMetrics])> = layouts
@@ -74,7 +76,7 @@ pub fn run() {
         let mut row = format!("{rate:<10.3}");
         for (_, pts) in &results {
             let p = &pts[i];
-            if p.saturated || p.error.is_some() {
+            if p.saturated_or_failed() {
                 row.push_str(&format!("{:>12}", "sat"));
             } else {
                 row.push_str(&format!("{:>12.2}", p.latency_ns));
@@ -116,7 +118,7 @@ pub fn run() {
         let mut row = format!("{rate:<10.3}");
         for (_, pts) in &results {
             let p = &pts[i];
-            if p.saturated || p.error.is_some() {
+            if p.saturated_or_failed() {
                 row.push_str(&format!("{:>12}", "sat"));
             } else {
                 row.push_str(&format!("{:>12.2}", p.power_w));

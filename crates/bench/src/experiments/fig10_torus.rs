@@ -83,14 +83,16 @@ pub fn run() {
     }
     let outcome = run_sweep(&sweep, &SweepOptions::default()).expect("fig10 sweep");
     outcome.write_json().expect("write fig10 json");
-    rep.line(format!(
+    // Wall time and cache hits vary run to run, so they stay out of the
+    // report file.
+    eprintln!(
         "# sweep: {} system runs ({} simulated, {} cached), {:.2}s wall on {} worker(s)",
         outcome.points.len(),
         outcome.simulated,
         outcome.cache_hits,
         outcome.wall_secs,
         outcome.jobs,
-    ));
+    );
     rep.line("");
     rep.line(format!("{:<12}{:>14}{:>14}", "workload", "mesh", "torus"));
 

@@ -4,7 +4,7 @@
 //! Fig. 11 (a) network latency reduction per layout, (b) latency breakdown,
 //! (c) network power reduction, (d) power breakdown. Fig. 12: IPC
 //! improvement for (a) commercial and (b) PARSEC workloads. Both figures
-//! come from the same simulations, so this binary writes
+//! come from the same simulations, so this experiment writes
 //! `results/fig11_applications.txt` and `results/fig12_ipc.txt`.
 
 use crate::{full_scale, pct_gain, pct_reduction, Report};

@@ -1,14 +1,16 @@
 //! Every paper experiment as an in-process function.
 //!
-//! Each table/figure keeps a thin binary wrapper in `src/bin/`, but the
-//! body lives here so `run_all` can execute the whole suite inside one
-//! process, sharded across the sweep executor's worker pool
-//! ([`crate::sweep::parallel_map`]) — a panic in one experiment is caught
-//! and reported instead of only surfacing through a child's stderr.
+//! The `run_all` binary is the one entry point: `run_all [<name>…]` picks
+//! experiments from [`ALL`] by name (all of them when none is given) and
+//! runs them inside one process, sharded across the sweep executor's
+//! worker pool ([`crate::sweep::parallel_map`]) — a panic in one
+//! experiment is caught and reported instead of only surfacing through a
+//! child's stderr.
 //!
-//! `fig07_ur_traffic`, `fig10_torus`, `dse_4x4` and `fault_degradation`
-//! run on the sweep-orchestration engine ([`crate::sweep`]) and therefore
-//! parallelize internally and memoize their points in `results/cache/`.
+//! `fig07_ur_traffic`, `fig09_nn_traffic`, `fig10_torus`, `dse_4x4` and
+//! `fault_degradation` run on the sweep-orchestration engine
+//! ([`crate::sweep`]) and therefore parallelize internally and memoize
+//! their points in `results/cache/`.
 
 pub mod ablation_conditions;
 pub mod dse_4x4;

@@ -1,6 +1,6 @@
 //! §3.3 claim: on the HeteroNoC's wide links, two flits can be combined
 //! ~40% of the time at low loads and ~80% at moderate-to-high loads. This
-//! binary measures the dual-transmission rate of busy wide-link cycles on
+//! experiment measures the dual-transmission rate of busy wide-link cycles on
 //! Diagonal+BL under uniform-random traffic across the load range.
 
 use crate::{default_params, Report};

@@ -1,9 +1,10 @@
 //! Shared experiment harness for the HeteroNoC reproduction.
 //!
-//! Each table/figure of the paper has a binary in `src/bin/` built on these
-//! utilities: load sweeps over network layouts, saturation detection, power
-//! evaluation and tabular output. Binaries print the figure's rows/series
-//! to stdout and mirror them into `results/<name>.txt`.
+//! Each table/figure of the paper is an experiment in [`experiments`],
+//! run by name through the `run_all` binary and built on these utilities:
+//! saturation detection over sweep points, simulation defaults and
+//! tabular output. Experiments print the figure's rows/series to stdout
+//! and mirror them into `results/<name>.txt`.
 //!
 //! Runs default to a *quick* scale (fewer measured packets than the paper's
 //! 100k) so the whole suite finishes in minutes on one core; set
@@ -22,12 +23,10 @@ use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
 
-use heteronoc::noc::network::Network;
-use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Traffic};
-use heteronoc::noc::stats::NetStats;
+use heteronoc::noc::sim::{InjectionProcess, SimParams};
 use heteronoc::noc::types::Rate;
-use heteronoc::power::NetworkPower;
-use heteronoc::{mesh_config, Layout};
+
+use crate::sweep::PointMetrics;
 
 /// True when `HETERONOC_FULL=1`: run paper-scale measurement batches.
 pub fn full_scale() -> bool {
@@ -59,138 +58,51 @@ pub fn default_params(rate: f64, seed: u64) -> SimParams {
     }
 }
 
-/// A point with the four summary measurements the paper's figure helpers
-/// need. Implemented by both the legacy [`LoadPoint`] and the sweep
-/// engine's [`sweep::PointMetrics`], so the saturation/zero-load helpers
-/// below work over either.
-pub trait Measured {
-    /// Mean packet latency in nanoseconds.
-    fn latency_ns(&self) -> f64;
-    /// Accepted throughput in packets/node/cycle.
-    fn throughput(&self) -> f64;
-    /// Network power in watts.
-    fn power_w(&self) -> f64;
-    /// Whether the point saturated (or otherwise failed to measure).
-    fn saturated(&self) -> bool;
-}
-
-/// One measured load point of a sweep.
-#[derive(Clone, Debug)]
-pub struct LoadPoint {
-    /// Offered load in packets/node/cycle.
-    pub rate: f64,
-    /// Mean packet latency in nanoseconds.
-    pub latency_ns: f64,
-    /// Accepted throughput in packets/node/cycle.
-    pub throughput: f64,
-    /// Network power in watts (activity-based).
-    pub power_w: f64,
-    /// Whether the run saturated.
-    pub saturated: bool,
-    /// Raw statistics.
-    pub stats: NetStats,
-}
-
-/// Sweeps `layout` across `rates` with fresh traffic from `traffic_fn`.
-pub fn sweep_layout<F>(
-    layout: &Layout,
-    rates: &[f64],
-    seed: u64,
-    mut traffic_fn: F,
-) -> Vec<LoadPoint>
-where
-    F: FnMut() -> Box<dyn Traffic>,
-{
-    let power = NetworkPower::paper_calibrated();
-    rates
+/// The points that measured cleanly (neither saturated nor failed) with
+/// latency below `3x` the zero-load latency — the unsaturated region the
+/// paper's summary numbers are taken over.
+fn below_knee(points: &[PointMetrics]) -> impl Iterator<Item = &PointMetrics> {
+    let zl = zero_load_latency_ns(points);
+    points
         .iter()
-        .map(|&rate| {
-            let cfg = mesh_config(layout);
-            let graph = cfg.build_graph();
-            let net = Network::new(cfg.clone()).expect("layout config is valid");
-            let mut traffic = traffic_fn();
-            let out = SimRun::new(net, default_params(rate, seed))
-                .traffic(traffic.as_mut())
-                .run()
-                .expect("simulation run");
-            let power_w = power.evaluate(&cfg, &graph, &out.stats).total_w();
-            LoadPoint {
-                rate,
-                latency_ns: out.latency_ns(),
-                throughput: out.stats.throughput_ppc(graph.num_nodes()),
-                power_w,
-                saturated: out.saturated,
-                stats: out.stats,
-            }
-        })
-        .collect()
-}
-
-impl Measured for LoadPoint {
-    fn latency_ns(&self) -> f64 {
-        self.latency_ns
-    }
-    fn throughput(&self) -> f64 {
-        self.throughput
-    }
-    fn power_w(&self) -> f64 {
-        self.power_w
-    }
-    fn saturated(&self) -> bool {
-        self.saturated
-    }
+        .filter(move |p| !p.saturated_or_failed() && p.latency_ns <= 3.0 * zl)
 }
 
 /// Zero-load latency estimate: the latency of the lowest load point.
-pub fn zero_load_latency_ns<M: Measured>(points: &[M]) -> f64 {
+pub fn zero_load_latency_ns(points: &[PointMetrics]) -> f64 {
     points
         .iter()
-        .filter(|p| !p.saturated())
-        .map(Measured::latency_ns)
+        .filter(|p| !p.saturated_or_failed())
+        .map(|p| p.latency_ns)
         .fold(f64::INFINITY, f64::min)
 }
 
 /// Saturation throughput: the highest accepted throughput among points whose
 /// latency stays below `3x` the zero-load latency (a standard operational
 /// definition of the saturation point).
-pub fn saturation_throughput<M: Measured>(points: &[M]) -> f64 {
-    let zl = zero_load_latency_ns(points);
-    points
-        .iter()
-        .filter(|p| !p.saturated() && p.latency_ns() <= 3.0 * zl)
-        .map(Measured::throughput)
-        .fold(0.0, f64::max)
+pub fn saturation_throughput(points: &[PointMetrics]) -> f64 {
+    below_knee(points).map(|p| p.throughput).fold(0.0, f64::max)
+}
+
+/// Mean of `f` over the unsaturated region (NaN when it is empty).
+fn mean_below_knee(points: &[PointMetrics], f: impl Fn(&PointMetrics) -> f64) -> f64 {
+    let sel: Vec<f64> = below_knee(points).map(f).collect();
+    if sel.is_empty() {
+        f64::NAN
+    } else {
+        sel.iter().sum::<f64>() / sel.len() as f64
+    }
 }
 
 /// Mean latency over the unsaturated region (the "average latency" the
 /// paper summarizes per configuration in Figs. 7b/9b).
-pub fn mean_unsaturated_latency_ns<M: Measured>(points: &[M]) -> f64 {
-    let zl = zero_load_latency_ns(points);
-    let sel: Vec<f64> = points
-        .iter()
-        .filter(|p| !p.saturated() && p.latency_ns() <= 3.0 * zl)
-        .map(Measured::latency_ns)
-        .collect();
-    if sel.is_empty() {
-        f64::NAN
-    } else {
-        sel.iter().sum::<f64>() / sel.len() as f64
-    }
+pub fn mean_unsaturated_latency_ns(points: &[PointMetrics]) -> f64 {
+    mean_below_knee(points, |p| p.latency_ns)
 }
 
 /// Mean power over the unsaturated region.
-pub fn mean_unsaturated_power_w<M: Measured>(points: &[M]) -> f64 {
-    let zl = zero_load_latency_ns(points);
-    let sel: Vec<f64> = points
-        .iter()
-        .filter(|p| !p.saturated() && p.latency_ns() <= 3.0 * zl)
-        .map(Measured::power_w)
-        .collect();
-    if sel.is_empty() {
-        f64::NAN
-    } else {
-        sel.iter().sum::<f64>() / sel.len() as f64
-    }
+pub fn mean_unsaturated_power_w(points: &[PointMetrics]) -> f64 {
+    mean_below_knee(points, |p| p.power_w)
 }
 
 /// Percentage improvement of `new` over `base` where smaller is better.
@@ -279,7 +191,8 @@ pub fn results_dir() -> PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use heteronoc::noc::sim::UniformRandom;
+    use crate::sweep::{run_point, Sweep, TrafficSpec};
+    use heteronoc::{mesh_config, Layout};
 
     #[test]
     fn pct_helpers() {
@@ -289,22 +202,33 @@ mod tests {
 
     #[test]
     fn sweep_produces_points() {
-        let pts = sweep_layout(&Layout::Baseline, &[0.004], 1, || Box::new(UniformRandom));
-        // Quick smoke test only (full sweeps run in the binaries).
-        assert_eq!(pts.len(), 1);
-        assert!(pts[0].latency_ns > 0.0);
-        assert!(pts[0].power_w > 0.0);
+        let configs = [("Baseline".to_owned(), mesh_config(&Layout::Baseline))];
+        let sweep = Sweep::grid(
+            "smoke",
+            &configs,
+            &[TrafficSpec::Uniform],
+            &[1],
+            &[0.004],
+            default_params,
+        );
+        // Quick smoke test only (full sweeps run in the experiments).
+        assert_eq!(sweep.points.len(), 1);
+        let p = run_point(&sweep.points[0]);
+        assert!(p.error.is_none(), "{:?}", p.error);
+        assert!(p.latency_ns > 0.0);
+        assert!(p.power_w > 0.0);
     }
 
     #[test]
     fn saturation_metrics_on_synthetic_points() {
-        let mk = |rate: f64, lat: f64, thr: f64, sat: bool| LoadPoint {
+        let mk = |rate: f64, lat: f64, thr: f64, sat: bool| PointMetrics {
             rate,
             latency_ns: lat,
             throughput: thr,
             power_w: 10.0,
             saturated: sat,
-            stats: NetStats::default(),
+            error: None,
+            ..PointMetrics::failed(String::new(), String::new())
         };
         let pts = vec![
             mk(0.01, 10.0, 0.01, false),
@@ -312,9 +236,16 @@ mod tests {
             mk(0.04, 25.0, 0.04, false),
             mk(0.06, 80.0, 0.05, false),
             mk(0.08, 500.0, 0.05, true),
+            // A failed point counts as saturated, however good it looks.
+            PointMetrics {
+                error: Some("failed".to_owned()),
+                ..mk(0.002, 1.0, 0.09, false)
+            },
         ];
         assert!((zero_load_latency_ns(&pts) - 10.0).abs() < 1e-9);
         // 3x zero-load = 30ns: the 0.04 point is the saturation point.
         assert!((saturation_throughput(&pts) - 0.04).abs() < 1e-9);
+        assert!((mean_unsaturated_latency_ns(&pts) - 47.0 / 3.0).abs() < 1e-9);
+        assert!((mean_unsaturated_power_w(&pts) - 10.0).abs() < 1e-9);
     }
 }

@@ -1,6 +1,6 @@
 //! Minimal dependency-free SVG plotting for experiment outputs: line charts
 //! (load-latency / power curves) and heat-maps (utilization grids). The
-//! figure binaries write these next to their text reports in `results/`.
+//! figure experiments write these next to their text reports in `results/`.
 
 use std::fmt::Write as _;
 use std::fs;

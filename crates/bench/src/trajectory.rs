@@ -12,7 +12,10 @@
 //!
 //! * **Scheduler engine** — active-set vs poll-all wall time at three
 //!   injection rates, plus a near-idle mesh where quiet-gap
-//!   fast-forwarding dominates (speedups are `Higher`-is-better);
+//!   fast-forwarding dominates and a fully quiet one (rate 0) where it is
+//!   all there is (speedups are `Higher`-is-better). Both engines must
+//!   reach the same `(cycles, NetStats)` on every pair; the suite panics
+//!   otherwise. CI holds `quiet.speedup` above 2;
 //! * **Checkpoint round-trip** — capture, serialize to disk, reload and
 //!   resume a mid-run checkpoint;
 //! * **Sweep cache hit path** — re-running an already-cached sweep must
@@ -29,7 +32,8 @@ use heteronoc::noc::config::NetworkConfig;
 use heteronoc::noc::network::Network;
 use heteronoc::noc::sched::EngineMode;
 use heteronoc::noc::sim::{InjectionProcess, SimParams, SimRun, Stepper, UniformRandom};
-use heteronoc::noc::types::Rate;
+use heteronoc::noc::stats::NetStats;
+use heteronoc::noc::types::{Cycle, Rate};
 use heteronoc_obs::json::{self, Json};
 
 use crate::sweep::{run_sweep, PointKind, PointSpec, Sweep, SweepOptions, TrafficSpec};
@@ -258,19 +262,65 @@ fn min_secs(reps: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn timed_run(cfg: &NetworkConfig, params: SimParams, mode: EngineMode, reps: u32) -> f64 {
-    min_secs(reps, || {
+/// Min-of-`reps` wall time of one run under `mode`, with the run's
+/// outcome (deterministic, so the same on every rep).
+fn timed_run(
+    cfg: &NetworkConfig,
+    params: SimParams,
+    mode: EngineMode,
+    reps: u32,
+) -> (f64, (Cycle, NetStats)) {
+    let mut outcome = None;
+    let secs = min_secs(reps, || {
         let net = Network::new(cfg.clone()).expect("pinned config is valid");
         let out = SimRun::new(net, params)
             .engine(mode)
             .run()
             .expect("pinned suite run");
-        assert!(out.stats.packets_retired > 0, "suite run retired nothing");
-    })
+        outcome = Some((out.cycles, out.stats));
+    });
+    (secs, outcome.expect("at least one rep"))
 }
 
-fn rate_label(rate: f64) -> String {
-    format!("r{rate}")
+/// Times `params` under the active-set engine and the poll-all reference
+/// and pushes `<group>.active_set<tag>.secs`, `<group>.poll_all<tag>.secs`
+/// and `<group>.speedup<tag>`.
+///
+/// # Panics
+/// When the two engines disagree on the run's `(cycles, NetStats)`, or a
+/// loaded run retires nothing.
+fn push_engine_pair(
+    entries: &mut Vec<BenchEntry>,
+    cfg: &NetworkConfig,
+    params: SimParams,
+    reps: u32,
+    group: &str,
+    tag: &str,
+) {
+    let (active, active_out) = timed_run(cfg, params, EngineMode::ActiveSet, reps);
+    let (poll, poll_out) = timed_run(cfg, params, EngineMode::PollAll, reps);
+    assert!(
+        active_out == poll_out,
+        "{group}{tag}: engines disagree on the run's outcome"
+    );
+    assert!(
+        params.injection_rate.get() == 0.0 || active_out.1.packets_retired > 0,
+        "{group}{tag}: suite run retired nothing"
+    );
+    for (engine, value) in [("active_set", active), ("poll_all", poll)] {
+        entries.push(BenchEntry {
+            name: format!("{group}.{engine}{tag}.secs"),
+            value,
+            unit: "secs".to_owned(),
+            better: Better::Lower,
+        });
+    }
+    entries.push(BenchEntry {
+        name: format!("{group}.speedup{tag}"),
+        value: poll / active.max(1e-9),
+        unit: "ratio".to_owned(),
+        better: Better::Higher,
+    });
 }
 
 /// Runs the pinned micro-suite and returns the record (not yet written).
@@ -294,27 +344,14 @@ pub fn run_suite(quick: bool) -> BenchRecord {
     // loads. Both modes do byte-identical work; only wall time differs.
     for rate in RATES {
         let params = suite_params(rate, measure);
-        let active = timed_run(&cfg, params, EngineMode::ActiveSet, reps);
-        let poll = timed_run(&cfg, params, EngineMode::PollAll, reps);
-        let r = rate_label(rate);
-        entries.push(BenchEntry {
-            name: format!("engine.active_set.{r}.secs"),
-            value: active,
-            unit: "secs".to_owned(),
-            better: Better::Lower,
-        });
-        entries.push(BenchEntry {
-            name: format!("engine.poll_all.{r}.secs"),
-            value: poll,
-            unit: "secs".to_owned(),
-            better: Better::Lower,
-        });
-        entries.push(BenchEntry {
-            name: format!("engine.speedup.{r}"),
-            value: poll / active.max(1e-9),
-            unit: "ratio".to_owned(),
-            better: Better::Higher,
-        });
+        push_engine_pair(
+            &mut entries,
+            &cfg,
+            params,
+            reps,
+            "engine",
+            &format!(".r{rate}"),
+        );
     }
 
     // Near-idle mesh: long stretches of quiet cycles, where active-set's
@@ -323,31 +360,19 @@ pub fn run_suite(quick: bool) -> BenchRecord {
         injection_rate: Rate::new(0.0005),
         warmup_packets: 10,
         measure_packets: measure / 10,
-        max_cycles: 3_000_000,
-        seed: SEED,
-        process: InjectionProcess::Bernoulli,
-        watchdog: None,
+        ..suite_params(0.0, measure)
     };
-    let active = timed_run(&cfg, idle, EngineMode::ActiveSet, reps);
-    let poll = timed_run(&cfg, idle, EngineMode::PollAll, reps);
-    entries.push(BenchEntry {
-        name: "idle.active_set.secs".to_owned(),
-        value: active,
-        unit: "secs".to_owned(),
-        better: Better::Lower,
-    });
-    entries.push(BenchEntry {
-        name: "idle.poll_all.secs".to_owned(),
-        value: poll,
-        unit: "secs".to_owned(),
-        better: Better::Lower,
-    });
-    entries.push(BenchEntry {
-        name: "idle.speedup".to_owned(),
-        value: poll / active.max(1e-9),
-        unit: "ratio".to_owned(),
-        better: Better::Higher,
-    });
+    push_engine_pair(&mut entries, &cfg, idle, reps, "idle", "");
+
+    // Quiet mesh: rate zero with a 1-packet target can never complete, so
+    // poll-all walks the whole horizon while active-set jumps it.
+    let quiet = SimParams {
+        warmup_packets: 1,
+        measure_packets: 1,
+        max_cycles: if quick { 20_000 } else { 500_000 },
+        ..suite_params(0.0, measure)
+    };
+    push_engine_pair(&mut entries, &cfg, quiet, reps, "quiet", "");
 
     // Checkpoint round-trip: run to a boundary, capture, save, reload,
     // resume, advance. Measures the serialization path end to end.
@@ -690,6 +715,9 @@ mod tests {
             "engine.active_set.r0.01.secs",
             "engine.speedup.r0.05",
             "idle.speedup",
+            "quiet.active_set.secs",
+            "quiet.poll_all.secs",
+            "quiet.speedup",
             "checkpoint.roundtrip.secs",
             "cache.hit_scan.secs",
         ] {

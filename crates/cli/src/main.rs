@@ -331,9 +331,10 @@ fn cmd_sweep(a: &Args) -> Result<(), String> {
     let rates = a
         .get_list::<f64>("rates")?
         .unwrap_or_else(|| vec![0.01, 0.02, 0.03, 0.04, 0.05]);
-    let seeds = a
-        .get_list::<u64>("seeds")?
-        .unwrap_or_else(|| vec![a.get_or("seed", 42u64).unwrap_or(42)]);
+    let seeds = match a.get_list::<u64>("seeds")? {
+        Some(seeds) => seeds,
+        None => vec![a.get_or("seed", 42u64)?],
+    };
     let packets = a.get_or("packets", 5_000u64)?;
     let jobs = a.get_or("jobs", default_jobs())?.max(1);
     let name = a.get("name").unwrap_or("cli_sweep").to_owned();
@@ -1798,5 +1799,24 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(_) => ExitCode::FAILURE,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_rejects_a_non_numeric_seed_before_simulating() {
+        let a = Args::parse(
+            "sweep --seed abc --rates 0.01 --packets 10 --no-cache"
+                .split_whitespace()
+                .map(String::from),
+        )
+        .expect("parses");
+        // The seed is parsed before the sweep is built, so the error comes
+        // back without a point having run.
+        let err = cmd_sweep(&a).expect_err("non-numeric --seed must be rejected");
+        assert!(err.contains("--seed"), "{err}");
     }
 }
