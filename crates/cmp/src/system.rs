@@ -200,14 +200,19 @@ pub struct CmpSystem {
     cores: Vec<Core>,
     l1s: Vec<L1>,
     banks: Vec<Bank>,
-    mcs: HashMap<usize, MemCtrl>,
+    /// Memory controllers, parallel to `mc_list`.
+    mcs: Vec<MemCtrl>,
     expedited: Vec<bool>,
+    /// Memory-controller nodes, sorted and deduplicated.
     mc_list: Vec<usize>,
     now: Cycle,
     txn_counter: TxnId,
     /// (requester, block) -> request generation cycle (for Fig. 13 legs).
     req_start: HashMap<(u16, u64), Cycle>,
     stats: CmpStats,
+    /// Scratch reused across ticks: `(core, block, store)` of each L1 miss
+    /// issued this tick.
+    issues: Vec<(usize, u64, bool)>,
 }
 
 impl std::fmt::Debug for CmpSystem {
@@ -255,11 +260,6 @@ impl CmpSystem {
                 inbox: VecDeque::new(),
             })
             .collect();
-        let mcs = cfg
-            .mc_nodes
-            .iter()
-            .map(|m| (m.index(), MemCtrl::new(mem.dram_latency, mem.mc_concurrent)))
-            .collect();
         let mut expedited = vec![false; n];
         for e in &cfg.expedited_nodes {
             expedited[e.index()] = true;
@@ -267,6 +267,10 @@ impl CmpSystem {
         let mut mc_list: Vec<usize> = cfg.mc_nodes.iter().map(|m| m.index()).collect();
         mc_list.sort_unstable();
         mc_list.dedup();
+        let mcs = mc_list
+            .iter()
+            .map(|_| MemCtrl::new(mem.dram_latency, mem.mc_concurrent))
+            .collect();
         let net_ratio = net.config().frequency_ghz / cfg.core_clock_ghz;
         let cores = core_params
             .into_iter()
@@ -289,6 +293,7 @@ impl CmpSystem {
             txn_counter: 0,
             req_start: HashMap::new(),
             stats: CmpStats::default(),
+            issues: Vec::new(),
         }
     }
 
@@ -430,6 +435,11 @@ impl CmpSystem {
         self.mc_list[(block % self.mc_list.len() as u64) as usize]
     }
 
+    /// Index into `mcs` of the controller at `node`, if there is one.
+    fn mc_index(&self, node: usize) -> Option<usize> {
+        self.mc_list.binary_search(&node).ok()
+    }
+
     fn send(&mut self, src: usize, dst: usize, msg: Msg) {
         let class = if self.expedited[src] || self.expedited[dst] {
             PacketClass::Expedited
@@ -465,10 +475,9 @@ impl CmpSystem {
         }
 
         // 2. Memory controllers complete DRAM accesses.
-        let mc_nodes: Vec<usize> = self.mc_list.clone();
-        for m in mc_nodes {
-            let done = self.mcs.get_mut(&m).expect("mc exists").completed(now);
-            for token in done {
+        for i in 0..self.mc_list.len() {
+            let m = self.mc_list[i];
+            for token in self.mcs[i].completed(now) {
                 if token >> 63 == 1 {
                     continue; // completed write: no reply needed
                 }
@@ -497,13 +506,13 @@ impl CmpSystem {
         }
 
         // 4. Cores issue.
-        let mut all_issues: Vec<(usize, u64, bool)> = Vec::new();
         {
             let Self {
                 cores,
                 l1s,
                 txn_counter,
                 mem,
+                issues,
                 ..
             } = self;
             let block_bytes = mem.block_bytes as u64;
@@ -513,21 +522,12 @@ impl CmpSystem {
                 // `done` is read by one closure while the other mutates the
                 // rest of the L1, so take it out for the duration.
                 let done_map = std::mem::take(&mut l1.done);
-                let mut issue_buf: Vec<(u64, bool)> = Vec::new();
                 core.tick(
                     now,
                     |iss| {
                         let block = iss.record.addr / block_bytes;
                         let store = iss.record.op == MemOp::Store;
-                        l1_issue(
-                            l1,
-                            block,
-                            store,
-                            now,
-                            l1_latency,
-                            txn_counter,
-                            &mut issue_buf,
-                        )
+                        l1_issue(l1, c, block, store, now, l1_latency, txn_counter, issues)
                     },
                     |t| done_map.get(&t).copied(),
                 );
@@ -536,17 +536,16 @@ impl CmpSystem {
                 if l1.done.len() > 4 * 64 {
                     l1.done.retain(|_, cyc| *cyc + 10_000 > now);
                 }
-                for (block, store) in issue_buf {
-                    all_issues.push((c, block, store));
-                }
             }
         }
-        for (c, block, store) in all_issues {
+        let mut issues = std::mem::take(&mut self.issues);
+        for (c, block, store) in issues.drain(..) {
             let home = self.home_of(block);
             let kind = if store { MsgKind::GetM } else { MsgKind::GetS };
             self.req_start.insert((c as u16, block), now);
             self.send(c, home, Msg::new(kind, block, c));
         }
+        self.issues = issues;
 
         self.now += 1;
     }
@@ -576,18 +575,18 @@ impl CmpSystem {
                     self.stats.mem_request_leg.add(leg as f64);
                 }
                 let token = ((src as u64) << 47) | msg.block;
-                self.mcs
-                    .get_mut(&dst)
-                    .expect("MemRead sent to a controller node")
-                    .request(self.now, token);
+                let mc = self
+                    .mc_index(dst)
+                    .expect("MemRead sent to a controller node");
+                self.mcs[mc].request(self.now, token);
             }
             MsgKind::MemWrite => {
                 // Fire-and-forget writeback: consumes DRAM bandwidth. The
                 // top token bit marks writes so no reply is generated.
                 self.stats.mem_writes += 1;
                 let token = (1u64 << 63) | msg.block;
-                if let Some(mc) = self.mcs.get_mut(&dst) {
-                    mc.request(self.now, token);
+                if let Some(mc) = self.mc_index(dst) {
+                    self.mcs[mc].request(self.now, token);
                 }
             }
         }
@@ -1028,12 +1027,13 @@ fn set_l1_warm(l1: &mut L1, block: u64, state: L1State) {
 #[allow(clippy::too_many_arguments)]
 fn l1_issue(
     l1: &mut L1,
+    core: usize,
     block: u64,
     store: bool,
     now: Cycle,
     l1_latency: Cycle,
     txn_counter: &mut TxnId,
-    out: &mut Vec<(u64, bool)>,
+    out: &mut Vec<(usize, u64, bool)>,
 ) -> MemResult {
     if let Some(state) = l1.cache.get_mut(block) {
         match (*state, store) {
@@ -1075,7 +1075,7 @@ fn l1_issue(
             start: now,
         },
     );
-    out.push((block, store));
+    out.push((core, block, store));
     MemResult::Pending(t)
 }
 

@@ -192,6 +192,50 @@ mod tests {
         }
     }
 
+    /// Every configuration the experiments and the CLI build fits the
+    /// allocators' mask widths (and the rest of `validate`).
+    #[test]
+    fn every_shipped_config_validates() {
+        let torus = TopologyKind::Torus {
+            width: 8,
+            height: 8,
+        };
+        let mut cfgs = Vec::new();
+        for l in Layout::all_seven() {
+            cfgs.push((format!("{l} mesh"), mesh_config(&l)));
+            cfgs.push((format!("{l} torus"), network_config(&l, torus)));
+            let hubs = [RouterId(0), RouterId(7), RouterId(56), RouterId(63)];
+            cfgs.push((format!("{l} table"), mesh_config_with_table(&l, &hubs)));
+        }
+        for kind in [
+            TopologyKind::CMesh {
+                width: 4,
+                height: 4,
+                concentration: 4,
+            },
+            TopologyKind::FlattenedButterfly {
+                width: 4,
+                height: 4,
+                concentration: 4,
+            },
+        ] {
+            cfgs.push((
+                format!("{kind:?}"),
+                NetworkConfig::homogeneous(
+                    kind,
+                    RouterClass::Baseline.router_cfg(),
+                    Bits(192),
+                    2.2,
+                ),
+            ));
+        }
+        for (name, cfg) in cfgs {
+            if let Err(e) = cfg.validate(&cfg.build_graph()) {
+                panic!("{name}: {e}");
+            }
+        }
+    }
+
     #[test]
     fn table_config_reserves_escape() {
         let cfg = mesh_config_with_table(&Layout::DiagonalBL, &[RouterId(0), RouterId(63)]);

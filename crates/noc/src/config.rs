@@ -12,6 +12,14 @@ use crate::routing::RoutingKind;
 use crate::topology::{PortKind, TopologyGraph, TopologyKind};
 use crate::types::Bits;
 
+/// Most ports one router may have: the switch allocator keeps one bit per
+/// port in a `u64` mask.
+pub const MAX_PORTS: usize = 64;
+
+/// Most input VCs (ports × VCs per port) one router may have: the VC
+/// allocator keeps one bit per input VC in a `u128` mask.
+pub const MAX_INPUT_VCS: usize = 128;
+
 /// Buffer organization of one router.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct RouterCfg {
@@ -171,8 +179,9 @@ impl NetworkConfig {
     ///
     /// # Errors
     /// Returns the first [`ConfigError`] found: count mismatches, zero
-    /// widths/depths/VCs, non-multiple link widths, or too few VCs for the
-    /// dateline/escape classes the routing needs.
+    /// widths/depths/VCs, routers wider than the allocator masks
+    /// ([`MAX_PORTS`], [`MAX_INPUT_VCS`]), non-multiple link widths, or too
+    /// few VCs for the dateline/escape classes the routing needs.
     pub fn validate(&self, graph: &TopologyGraph) -> Result<(), ConfigError> {
         if self.routers.len() != graph.num_routers() {
             return Err(ConfigError::RouterCountMismatch {
@@ -194,6 +203,16 @@ impl NetworkConfig {
             }
             if rc.buffer_depth == 0 {
                 return Err(ConfigError::ZeroBufferDepth { router: i });
+            }
+            let ports = graph.routers()[i].ports.len();
+            if ports > MAX_PORTS {
+                return Err(ConfigError::TooManyPorts { router: i, ports });
+            }
+            if ports * rc.vcs_per_port > MAX_INPUT_VCS {
+                return Err(ConfigError::TooManyInputVcs {
+                    router: i,
+                    vcs: ports * rc.vcs_per_port,
+                });
             }
             if matches!(self.topology, TopologyKind::Torus { .. }) && rc.vcs_per_port < 2 {
                 return Err(ConfigError::TorusNeedsTwoVcs { router: i });
@@ -479,6 +498,57 @@ mod tests {
             cfg.validate(&g),
             Err(ConfigError::RouterCountMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_router_wider_than_port_mask() {
+        // 62 local ports + 6 butterfly links = 68 ports per router.
+        let mut cfg = NetworkConfig::homogeneous(
+            TopologyKind::FlattenedButterfly {
+                width: 4,
+                height: 4,
+                concentration: 62,
+            },
+            RouterCfg {
+                vcs_per_port: 1,
+                buffer_depth: 5,
+            },
+            Bits(192),
+            2.2,
+        );
+        let g = cfg.build_graph();
+        assert_eq!(
+            cfg.validate(&g),
+            Err(ConfigError::TooManyPorts {
+                router: 0,
+                ports: 68
+            })
+        );
+        // 58 local ports + 6 links = 64 ports: the widest router accepted.
+        cfg.topology = TopologyKind::FlattenedButterfly {
+            width: 4,
+            height: 4,
+            concentration: 58,
+        };
+        assert!(cfg.validate(&cfg.build_graph()).is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_more_input_vcs_than_request_mask() {
+        let mut cfg = NetworkConfig::paper_baseline();
+        // A mesh corner router has 3 ports, an edge router 4, an inner 5.
+        cfg.routers[9].vcs_per_port = 26; // 5 × 26 = 130 input VCs
+        let g = cfg.build_graph();
+        assert_eq!(
+            cfg.validate(&g),
+            Err(ConfigError::TooManyInputVcs {
+                router: 9,
+                vcs: 130
+            })
+        );
+        cfg.routers[9].vcs_per_port = 25; // 125 input VCs
+        cfg.routers[0].vcs_per_port = 42; // corner: 3 × 42 = 126
+        assert!(cfg.validate(&g).is_ok());
     }
 
     #[test]

@@ -46,6 +46,23 @@ pub enum ConfigError {
         /// The offending router index.
         router: usize,
     },
+    /// A router has more ports than the allocators' `u64` port masks
+    /// hold ([`crate::config::MAX_PORTS`]).
+    TooManyPorts {
+        /// The offending router index.
+        router: usize,
+        /// Its port count.
+        ports: usize,
+    },
+    /// A router has more input VCs (ports × VCs per port) than the VC
+    /// allocators' `u128` requester masks hold
+    /// ([`crate::config::MAX_INPUT_VCS`]).
+    TooManyInputVcs {
+        /// The offending router index.
+        router: usize,
+        /// Its input VC count.
+        vcs: usize,
+    },
     /// The configured frequency is not positive and finite.
     BadFrequency {
         /// The rejected value in GHz.
@@ -132,6 +149,16 @@ impl fmt::Display for ConfigError {
             ConfigError::TableNeedsEscapeVc { router } => write!(
                 f,
                 "table routing requires at least 2 VCs per port for the escape class (router {router})"
+            ),
+            ConfigError::TooManyPorts { router, ports } => write!(
+                f,
+                "router {router} has {ports} ports; at most {} are supported",
+                crate::config::MAX_PORTS
+            ),
+            ConfigError::TooManyInputVcs { router, vcs } => write!(
+                f,
+                "router {router} has {vcs} input VCs (ports x VCs per port); at most {} are supported",
+                crate::config::MAX_INPUT_VCS
             ),
             ConfigError::BadFrequency { ghz } => {
                 write!(f, "network frequency {ghz} GHz is not positive and finite")

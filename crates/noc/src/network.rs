@@ -242,6 +242,56 @@ fn epoch_recorder(every: Cycle, routers: &[RouterState], link_lanes: &[usize]) -
 /// Maximum event-schedule horizon (flit arrivals at +2 are the farthest).
 const WHEEL: usize = 3;
 
+/// The allocators' view of one router visit, built from a single read of
+/// each input VC. Flat VC index `i = p × vcs_per_port + v`; port masks are
+/// `u64` and VC masks `u128`, the widths [`NetworkConfig::validate`]
+/// enforces. Scratch: rebuilt on every visit, never persisted.
+#[derive(Debug, Default)]
+struct AllocMasks {
+    /// VA requesters per output port: bit `i` for each ungranted head
+    /// whose route leads there.
+    va_req: Vec<u128>,
+    /// Switch-eligible VCs per input port (bit `v`).
+    eligible: Vec<u128>,
+    /// Eligible VCs per input port that can also send their next flit of
+    /// the same packet over a wide output (bit `v`).
+    pairable: Vec<u128>,
+    /// Output port of each eligible VC, by flat index.
+    elig_out: Vec<usize>,
+    /// Input ports holding an eligible VC, per output port (bit `p`).
+    reach: Vec<u64>,
+    /// Input ports whose stage-1 nominee heads to each output port (bit `p`).
+    nominated: Vec<u64>,
+    /// Stage-1 nominee VC of each input port.
+    nominee: Vec<usize>,
+    /// Flits crossing the output port being allocated.
+    winners: Vec<(PortId, VcId)>,
+}
+
+/// Indices of the set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let i = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(i)
+    })
+}
+
+impl AllocMasks {
+    /// Lowest VC of input port `p` in `candidates` whose eligible output
+    /// is `o`.
+    fn first_vc_to(&self, p: usize, vcs: usize, mut candidates: u128, o: usize) -> Option<usize> {
+        while candidates != 0 {
+            let v = candidates.trailing_zeros() as usize;
+            if self.elig_out[p * vcs + v] == o {
+                return Some(v);
+            }
+            candidates &= candidates - 1;
+        }
+        None
+    }
+}
+
 /// The simulated network.
 pub struct Network {
     cfg: NetworkConfig,
@@ -274,12 +324,8 @@ pub struct Network {
     /// serialized, rebuilt from buffer occupancy on checkpoint restore.
     sched: Scheduler,
     // Scratch buffers reused across cycles to avoid per-cycle allocation.
-    scratch_winners: Vec<(PortId, VcId)>,
     scratch_events: Vec<Event>,
-    scratch_primary: Vec<Option<(usize, PortId)>>,
-    scratch_pair: Vec<bool>,
-    scratch_alt: Vec<Option<usize>>,
-    scratch_port_sent: Vec<u8>,
+    alloc: AllocMasks,
     /// Spare wheel-slot storage so the per-cycle `mem::take` of the due
     /// slot does not discard its capacity.
     wheel_spare: Vec<Event>,
@@ -404,12 +450,8 @@ impl Network {
             epochs: None,
             profiler: None,
             sched,
-            scratch_winners: Vec::with_capacity(4),
             scratch_events: Vec::with_capacity(4),
-            scratch_primary: Vec::new(),
-            scratch_pair: Vec::new(),
-            scratch_alt: Vec::new(),
-            scratch_port_sent: Vec::new(),
+            alloc: AllocMasks::default(),
             wheel_spare: Vec::new(),
         })
     }
@@ -2130,9 +2172,10 @@ impl Network {
             let node = &mut self.nodes[n];
             let vccount = node.vcs.len();
             let (lo, hi) = class.range(vccount);
-            let pick = node.rr_vc.grant(vccount, |v| {
-                (lo..hi).contains(&v) && node.vcs[v].owner.is_none() && node.vcs[v].credits > 0
-            });
+            let free = (lo..hi)
+                .filter(|&v| node.vcs[v].owner.is_none() && node.vcs[v].credits > 0)
+                .fold(0u128, |m, v| m | 1 << v);
+            let pick = node.rr_vc.grant(vccount, free);
             if let Some(v) = pick {
                 let packet = node.queue.pop_front().expect("non-empty");
                 node.vcs[v].owner = Some((PortId(0), VcId(0))); // occupied marker
@@ -2244,18 +2287,16 @@ impl Network {
         let escape_timeout = self.cfg.escape_timeout;
 
         // --- Route computation & escape diversion -----------------------
+        // Whole input ports with no buffered flit have nothing to route or
+        // age. Each VC's final state is read into `va_req`, the VC
+        // allocators' requester masks.
         let nports = self.routers[r].inputs.len();
         let nout = self.routers[r].outputs.len();
-        // Active-set refinement: skip whole input ports with no buffered
-        // flits (nothing to route or age), and record exactly which output
-        // ports have a VC-allocation requester so the VA phase below only
-        // runs the arbiters that can grant. With the mask disabled (`!0`,
-        // reference mode or >64 ports) every output is scanned as before;
-        // scanning an output with no requester is a no-op either way.
-        let gate = self.sched.mode() == EngineMode::ActiveSet && nout <= 64;
-        let mut va_req: u64 = if gate { 0 } else { !0 };
+        let mut va_req = std::mem::take(&mut self.alloc.va_req);
+        va_req.clear();
+        va_req.resize(nout, 0);
         for p in 0..nports {
-            if gate && self.routers[r].port_occ[p] == 0 {
+            if self.routers[r].port_occ[p] == 0 {
                 continue;
             }
             for v in 0..vcs_per_port {
@@ -2363,25 +2404,24 @@ impl Network {
                 }
                 // Final requester state for the VA phase: an ungranted head
                 // with a computed route bids for its route's output port.
-                if gate && vc.out_vc.is_none() && vc.fifo.front().is_some_and(|f| f.kind.is_head())
-                {
+                if vc.out_vc.is_none() && vc.fifo.front().is_some_and(|f| f.kind.is_head()) {
                     if let Some(rt) = vc.route {
-                        va_req |= 1u64 << rt.port.index();
+                        va_req[rt.port.index()] |= 1 << (p * vcs_per_port + v);
                     }
                 }
             }
         }
+        #[cfg(feature = "verify")]
+        self.check_va_masks(r, &va_req);
 
         // --- VC allocation ----------------------------------------------
         // Separable output-side allocation: each output port grants free
         // downstream VCs to requesting heads in round-robin order.
         let t = self.prof_lap(t, Stage::RouteCompute);
-        for o in 0..nout {
-            if va_req & (1u64 << (o & 63)) == 0 {
-                continue; // no requester recorded for this output
-            }
-            if self.routers[r].outputs[o].vcs.is_empty() {
-                continue; // sink: no VA needed
+        let flat = nports * vcs_per_port;
+        for (o, &requesters) in va_req.iter().enumerate() {
+            if requesters == 0 || self.routers[r].outputs[o].vcs.is_empty() {
+                continue; // no requester, or a sink: no VA needed
             }
             // Dead links take no new wormholes (granted packets drain).
             if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
@@ -2393,28 +2433,13 @@ impl Network {
                     continue;
                 }
             }
-            let flat = nports * vcs_per_port;
-            debug_assert!(flat <= 128, "flat input-VC index must fit the skip mask");
-            // Requesters whose VC class had no free VC this cycle: skipped
-            // (not granted, pointer not advanced) so that requesters of
-            // other classes behind them are still served.
-            let mut skipped = 0u128;
-            loop {
-                // Find next requester (head with route to `o`, no grant).
-                let req = {
-                    let router = &self.routers[r];
-                    router.outputs[o].va_arb.peek(flat, |i| {
-                        if skipped & (1u128 << i) != 0 {
-                            return false;
-                        }
-                        let (p, v) = (i / vcs_per_port, i % vcs_per_port);
-                        let vc = &router.inputs[p][v];
-                        vc.out_vc.is_none()
-                            && vc.route.is_some_and(|rt| rt.port.index() == o)
-                            && vc.fifo.front().is_some_and(|f| f.kind.is_head())
-                    })
-                };
-                let Some(i) = req else { break };
+            // Every requester is taken off the mask once considered. One
+            // whose VC class has no free VC this cycle is skipped (not
+            // granted, pointer not advanced), so that requesters of other
+            // classes behind it are still served.
+            let mut pending = requesters;
+            while let Some(i) = self.routers[r].outputs[o].va_arb.peek(flat, pending) {
+                pending &= !(1 << i);
                 let (p, v) = (i / vcs_per_port, i % vcs_per_port);
                 let class = self.routers[r].inputs[p][v]
                     .route
@@ -2423,10 +2448,7 @@ impl Network {
                 let down_vcs = self.routers[r].outputs[o].vcs.len();
                 let (lo, hi) = class.range(down_vcs);
                 let free = (lo..hi).find(|&dv| self.routers[r].outputs[o].vcs[dv].owner.is_none());
-                let Some(dv) = free else {
-                    skipped |= 1u128 << i;
-                    continue;
-                };
+                let Some(dv) = free else { continue };
                 {
                     let router = &mut self.routers[r];
                     router.outputs[o].vcs[dv].owner = Some((PortId(p), VcId(v)));
@@ -2454,206 +2476,180 @@ impl Network {
                 }
             }
         }
+        self.alloc.va_req = va_req;
         let _ = self.prof_lap(t, Stage::VcAlloc);
-    }
-
-    /// True when input VC `(p, v)` of router `r` can send its front flit.
-    fn sa_eligible(&self, r: usize, p: usize, v: usize) -> Option<PortId> {
-        let vc = &self.routers[r].inputs[p][v];
-        let f = vc.fifo.front()?;
-        if f.buffered >= self.now {
-            return None; // still in stage 1
-        }
-        let route = vc.route?;
-        let ovc = vc.out_vc?;
-        let out = &self.routers[r].outputs[route.port.index()];
-        match out.target {
-            OutputTarget::Sink { .. } => Some(route.port),
-            OutputTarget::Channel { .. } => {
-                if out.vcs[ovc.index()].credits >= 1 {
-                    Some(route.port)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Whether `(p, v)` can supply a *second* flit this cycle (same-packet
-    /// back-to-back pair over a wide link; needs two credits).
-    fn sa_pair_eligible(&self, r: usize, p: usize, v: usize) -> bool {
-        let vc = &self.routers[r].inputs[p][v];
-        let (Some(f0), Some(f1)) = (vc.fifo.front(), vc.fifo.get(1)) else {
-            return false;
-        };
-        if f0.kind.is_tail() || f1.packet != f0.packet || f1.buffered >= self.now {
-            return false;
-        }
-        let Some(route) = vc.route else { return false };
-        let Some(ovc) = vc.out_vc else { return false };
-        let out = &self.routers[r].outputs[route.port.index()];
-        match out.target {
-            OutputTarget::Sink { .. } => true,
-            OutputTarget::Channel { .. } => out.vcs[ovc.index()].credits >= 2,
-        }
     }
 
     fn switch_alloc(&mut self, r: usize) {
         let mut t = self.prof_start();
         let nports = self.routers[r].inputs.len();
         let nout = self.routers[r].outputs.len();
-        let vcs_per_port = self.cfg.routers[r].vcs_per_port;
-        let gate = self.sched.mode() == EngineMode::ActiveSet && nout <= 64;
+        let vcs = self.cfg.routers[r].vcs_per_port;
+        let now = self.now;
+        let mut m = std::mem::take(&mut self.alloc);
 
-        // Stage 1: one nomination per input port (plus a possible pair).
-        // primary[p] = (vc, out_port); pair[p] = true when the nominated VC
-        // can also supply its next same-packet flit. The vectors are
-        // crate-level scratch (taken/returned) so the hot loop allocates
-        // nothing; `nominated` records which outputs received a nomination
-        // so stage 2 can skip outputs that cannot have a winner.
-        let mut primary = std::mem::take(&mut self.scratch_primary);
-        let mut pair = std::mem::take(&mut self.scratch_pair);
-        let mut alt = std::mem::take(&mut self.scratch_alt);
-        primary.clear();
-        primary.resize(nports, None);
-        pair.clear();
-        pair.resize(nports, false);
-        alt.clear();
-        alt.resize(nports, None);
-        let mut nominated_outs: u64 = if gate { 0 } else { !0 };
-        for p in 0..nports {
-            if gate && self.routers[r].port_occ[p] == 0 {
-                continue; // no buffered flit ⇒ no eligible VC at this port
+        // Eligibility: one read of each VC of every occupied input port. A
+        // VC is eligible when its front flit finished stage 1 and it holds
+        // a route and a downstream VC with a credit (sinks need none). The
+        // masks stay exact for the whole visit: a VC routes to one output,
+        // and committing a flit spends only that output's credits, so no
+        // commit changes who is eligible for another output.
+        m.eligible.resize(nports, 0);
+        m.pairable.resize(nports, 0);
+        m.reach.clear();
+        m.reach.resize(nout, 0);
+        m.elig_out.resize(nports * vcs, 0);
+        // Input ports with an eligible VC.
+        let mut live = 0u64;
+        let router = &self.routers[r];
+        for (p, port) in router.inputs.iter().enumerate() {
+            m.eligible[p] = 0;
+            m.pairable[p] = 0;
+            if router.port_occ[p] == 0 {
+                continue;
             }
-            let nominated = self.routers[r].sa_stage1[p]
-                .peek(vcs_per_port, |v| self.sa_eligible(r, p, v).is_some());
-            if let Some(v) = nominated {
-                let out = self.sa_eligible(r, p, v).expect("eligible");
-                primary[p] = Some((v, out));
-                if gate {
-                    nominated_outs |= 1u64 << out.index();
+            for (v, vc) in port.iter().enumerate() {
+                let Some(f) = vc.fifo.front() else { continue };
+                let (Some(route), Some(ovc)) = (vc.route, vc.out_vc) else {
+                    continue;
+                };
+                if f.buffered >= now {
+                    continue; // still in stage 1
                 }
-                pair[p] = self.routers[r].outputs[out.index()].lanes > 1
-                    && self.sa_pair_eligible(r, p, v);
-                if self.routers[r].outputs[out.index()].lanes > 1 && !pair[p] {
-                    // Another VC of the same input port heading to the same
-                    // output (the paper's case (a)/(c) combining).
-                    alt[p] = (0..vcs_per_port)
-                        .find(|&v2| v2 != v && self.sa_eligible(r, p, v2) == Some(out));
+                let o = route.port.index();
+                let out = &router.outputs[o];
+                let credits = match out.target {
+                    OutputTarget::Sink { .. } => u32::MAX,
+                    OutputTarget::Channel { .. } => out.vcs[ovc.index()].credits,
+                };
+                if credits == 0 {
+                    continue;
                 }
-                if self.measuring {
-                    self.stats.routers[r].sa1_arbs += 1;
+                m.eligible[p] |= 1 << v;
+                m.elig_out[p * vcs + v] = o;
+                m.reach[o] |= 1 << p;
+                live |= 1 << p;
+                // A same-packet back-to-back pair over a wide output needs
+                // the next flit ready too, and two credits.
+                if out.lanes > 1
+                    && credits >= 2
+                    && !f.kind.is_tail()
+                    && vc
+                        .fifo
+                        .get(1)
+                        .is_some_and(|f1| f1.packet == f.packet && f1.buffered < now)
+                {
+                    m.pairable[p] |= 1 << v;
                 }
+            }
+        }
+        #[cfg(feature = "verify")]
+        self.check_sa_masks(r, &m);
+
+        // Stage 1: one nomination per input port, from its eligible VCs.
+        m.nominated.clear();
+        m.nominated.resize(nout, 0);
+        m.nominee.resize(nports, 0);
+        // Output ports with a nominee.
+        let mut outs = 0u64;
+        for p in set_bits(live) {
+            let v = self.routers[r].sa_stage1[p]
+                .peek(vcs, m.eligible[p])
+                .expect("a live port has an eligible VC");
+            let o = m.elig_out[p * vcs + v];
+            m.nominated[o] |= 1 << p;
+            outs |= 1 << o;
+            m.nominee[p] = v;
+            if self.measuring {
+                self.stats.routers[r].sa1_arbs += 1;
             }
         }
 
         // Stage 2: per output port, primary + (for wide outputs) secondary.
-        // An input port's split datapath supplies at most two flits/cycle.
+        // An input port's split datapath supplies at most two flits/cycle:
+        // `sent_once`/`sent_twice` mark the ports that reached one and two.
         // Only stage-1 nominees can win the primary grant, so outputs
-        // without a nomination are skipped outright (granting there is a
-        // no-op: the arbiter pointer does not move without a winner).
-        let mut port_sent = std::mem::take(&mut self.scratch_port_sent);
-        port_sent.clear();
-        port_sent.resize(nports, 0);
-        let mut winners = std::mem::take(&mut self.scratch_winners);
-        for o in 0..nout {
-            if nominated_outs & (1u64 << (o & 63)) == 0 {
+        // without one are skipped (their arbiter pointers stay put).
+        let (mut sent_once, mut sent_twice) = (0u64, 0u64);
+        for o in set_bits(outs) {
+            let nominated = m.nominated[o] & !sent_twice;
+            let Some(p1) = self.routers[r].outputs[o]
+                .sa_primary
+                .grant(nports, nominated.into())
+            else {
                 continue;
-            }
-            winners.clear();
-            let w1 = self.routers[r].outputs[o].sa_primary.grant(nports, |p| {
-                port_sent[p] < 2 && primary[p].is_some_and(|(_, out)| out.index() == o)
-            });
-            let Some(p1) = w1 else { continue };
-            let (v1, _) = primary[p1].expect("winner nominated");
-            self.routers[r].sa_stage1[p1].advance_past(v1, vcs_per_port);
-            winners.push((PortId(p1), VcId(v1)));
+            };
+            let v1 = m.nominee[p1];
+            self.routers[r].sa_stage1[p1].advance_past(v1, vcs);
+            m.winners.clear();
+            m.winners.push((PortId(p1), VcId(v1)));
             if self.measuring {
                 self.stats.routers[r].sa2_arbs += 1;
             }
+            sent_twice |= sent_once & 1 << p1;
+            sent_once |= 1 << p1;
 
-            port_sent[p1] += 1;
-            let lanes_o = self.routers[r].outputs[o].lanes;
-            if lanes_o > 1 {
-                if pair[p1] && port_sent[p1] < 2 {
-                    // Same VC, next flit of the same packet (DSET pair).
-                    winners.push((PortId(p1), VcId(v1)));
-                    port_sent[p1] += 1;
-                } else if alt[p1].is_some() && port_sent[p1] < 2 {
-                    let v2 = alt[p1].expect("checked");
-                    winners.push((PortId(p1), VcId(v2)));
-                    port_sent[p1] += 1;
+            if self.routers[r].outputs[o].lanes > 1 {
+                // A second flit from the winner's own input port: the same
+                // VC's next flit of the packet (DSET pair), or else another
+                // VC heading to this output (the paper's case (a)/(c)).
+                let same_port = if sent_twice & 1 << p1 != 0 {
+                    None
+                } else if m.pairable[p1] & 1 << v1 != 0 {
+                    Some(v1)
+                } else {
+                    m.first_vc_to(p1, vcs, m.eligible[p1] & !(1 << v1), o)
+                };
+                if let Some(v2) = same_port {
+                    m.winners.push((PortId(p1), VcId(v2)));
+                    sent_twice |= 1 << p1;
                 } else {
                     // Different input port (the paper's case (b)/(f)): the
-                    // second parallel p:1 arbiter scans every other port
-                    // for *any* eligible VC heading to this output, not
+                    // second parallel p:1 arbiter serves every other port
+                    // with *any* eligible VC heading to this output, not
                     // just the stage-1 nominee.
-                    let mut second: Option<(usize, usize)> = None;
-                    let grant = self.routers[r].outputs[o].sa_secondary.peek(nports, |p| {
-                        if p == p1 || port_sent[p] >= 2 {
-                            return false;
-                        }
-                        (0..vcs_per_port).any(|v| self.sa_eligible(r, p, v) == Some(PortId(o)))
-                    });
-                    if let Some(p2) = grant {
-                        let v2 = (0..vcs_per_port)
-                            .find(|&v| self.sa_eligible(r, p2, v) == Some(PortId(o)))
-                            .expect("eligibility just checked");
-                        self.routers[r].outputs[o]
-                            .sa_secondary
-                            .advance_past(p2, nports);
-                        if primary[p2].is_some_and(|(v, out)| v == v2 && out.index() == o) {
+                    let others = m.reach[o] & !(1 << p1) & !sent_twice;
+                    if let Some(p2) = self.routers[r].outputs[o]
+                        .sa_secondary
+                        .grant(nports, others.into())
+                    {
+                        let v2 = m
+                            .first_vc_to(p2, vcs, m.eligible[p2], o)
+                            .expect("reach implies an eligible VC");
+                        if m.nominated[o] & 1 << p2 != 0 && m.nominee[p2] == v2 {
                             // Its stage-1 nomination is being consumed here.
-                            self.routers[r].sa_stage1[p2].advance_past(v2, vcs_per_port);
-                            primary[p2] = None;
+                            self.routers[r].sa_stage1[p2].advance_past(v2, vcs);
                         }
-                        second = Some((p2, v2));
-                    }
-                    if let Some((p2, v2)) = second {
-                        winners.push((PortId(p2), VcId(v2)));
-                        port_sent[p2] += 1;
+                        m.winners.push((PortId(p2), VcId(v2)));
+                        sent_twice |= sent_once & 1 << p2;
+                        sent_once |= 1 << p2;
                     }
                 }
-                if self.measuring && winners.len() == 2 {
+                if self.measuring && m.winners.len() == 2 {
                     self.stats.routers[r].sa2_arbs += 1;
                 }
             }
-            // The primary winner's nomination is consumed.
-            primary[p1] = None;
 
-            let count = winners.len();
-            // Lap only around non-empty commit batches: most outputs have
-            // no winner, and a clock read per idle output would swamp the
-            // quantity being measured.
-            if count > 0 {
-                t = self.prof_lap(t, Stage::SwitchAlloc);
-            }
-            // Indexing (not iterating) because commit_flit needs &mut self
-            // while `winners` stays borrowed otherwise.
-            #[allow(clippy::needless_range_loop)]
-            for k in 0..count {
-                let (wp, wv) = winners[k];
+            // Lap only around commit batches: most outputs have no winner,
+            // and a clock read per idle output would swamp the quantity
+            // being measured.
+            t = self.prof_lap(t, Stage::SwitchAlloc);
+            for &(wp, wv) in &m.winners {
                 self.commit_flit(r, wp, wv, PortId(o));
             }
-            if count > 0 {
-                t = self.prof_lap(t, Stage::SwitchTraverse);
-            }
+            t = self.prof_lap(t, Stage::SwitchTraverse);
             // Link busy/dual accounting.
             if self.measuring {
                 if let OutputTarget::Channel { link, .. } = self.routers[r].outputs[o].target {
                     let le = &mut self.stats.links[link.index()];
                     le.busy_cycles += 1;
-                    if count == 2 {
+                    if m.winners.len() == 2 {
                         le.dual_cycles += 1;
                     }
                 }
             }
         }
-        self.scratch_winners = winners;
-        self.scratch_primary = primary;
-        self.scratch_pair = pair;
-        self.scratch_alt = alt;
-        self.scratch_port_sent = port_sent;
+        self.alloc = m;
         let _ = self.prof_lap(t, Stage::SwitchAlloc);
     }
 

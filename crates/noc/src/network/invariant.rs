@@ -21,7 +21,7 @@ use std::fmt;
 use crate::router::OutputTarget;
 use crate::types::{NodeId, PacketId, PortId, RouterId, VcId};
 
-use super::{Event, Network, Upstream};
+use super::{AllocMasks, Event, Network, Upstream};
 
 /// A broken engine invariant, naming the exact state that disagrees.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -463,6 +463,111 @@ impl Network {
             }
         }
         Ok(())
+    }
+}
+
+/// The scalar allocation predicates, kept as the oracle the per-visit
+/// allocator masks are checked against on every visit.
+impl Network {
+    /// The output port input VC `(p, v)` of router `r` can send its front
+    /// flit through now, if any: the flit finished stage 1, and the VC
+    /// holds a route and a downstream VC with a credit (sinks need none).
+    fn sa_eligible(&self, r: usize, p: usize, v: usize) -> Option<PortId> {
+        let vc = &self.routers[r].inputs[p][v];
+        let f = vc.fifo.front()?;
+        if f.buffered >= self.now {
+            return None;
+        }
+        let route = vc.route?;
+        let ovc = vc.out_vc?;
+        let out = &self.routers[r].outputs[route.port.index()];
+        match out.target {
+            OutputTarget::Sink { .. } => Some(route.port),
+            OutputTarget::Channel { .. } => {
+                (out.vcs[ovc.index()].credits >= 1).then_some(route.port)
+            }
+        }
+    }
+
+    /// Whether switch-eligible `(p, v)` can supply a *second* flit this
+    /// cycle: a same-packet back-to-back pair over a wide output, with two
+    /// credits.
+    fn sa_pair_eligible(&self, r: usize, p: usize, v: usize) -> bool {
+        let vc = &self.routers[r].inputs[p][v];
+        let (Some(f0), Some(f1)) = (vc.fifo.front(), vc.fifo.get(1)) else {
+            return false;
+        };
+        if f0.kind.is_tail() || f1.packet != f0.packet || f1.buffered >= self.now {
+            return false;
+        }
+        let (Some(route), Some(ovc)) = (vc.route, vc.out_vc) else {
+            return false;
+        };
+        let out = &self.routers[r].outputs[route.port.index()];
+        out.lanes > 1
+            && match out.target {
+                OutputTarget::Sink { .. } => true,
+                OutputTarget::Channel { .. } => out.vcs[ovc.index()].credits >= 2,
+            }
+    }
+
+    /// Panics unless `va_req` holds exactly the VC-allocation requesters of
+    /// router `r`: every ungranted head with a route, at its route's output.
+    pub(super) fn check_va_masks(&self, r: usize, va_req: &[u128]) {
+        let router = &self.routers[r];
+        let vcs = self.cfg.routers[r].vcs_per_port;
+        let mut want = vec![0u128; router.outputs.len()];
+        for (p, port) in router.inputs.iter().enumerate() {
+            for (v, vc) in port.iter().enumerate() {
+                let head = vc.fifo.front().is_some_and(|f| f.kind.is_head());
+                if let (true, None, Some(rt)) = (head, vc.out_vc, vc.route) {
+                    want[rt.port.index()] |= 1 << (p * vcs + v);
+                }
+            }
+        }
+        assert_eq!(
+            va_req, want,
+            "VA requester masks of router {r} disagree with the scalar predicate at cycle {}",
+            self.now
+        );
+    }
+
+    /// Panics unless the switch-allocation masks of router `r` match the
+    /// scalar predicates over every input VC.
+    pub(super) fn check_sa_masks(&self, r: usize, m: &AllocMasks) {
+        let router = &self.routers[r];
+        let vcs = self.cfg.routers[r].vcs_per_port;
+        let mut reach = vec![0u64; router.outputs.len()];
+        for p in 0..router.inputs.len() {
+            let (mut eligible, mut pairable) = (0u128, 0u128);
+            for v in 0..vcs {
+                let Some(o) = self.sa_eligible(r, p, v) else {
+                    continue;
+                };
+                eligible |= 1 << v;
+                reach[o.index()] |= 1 << p;
+                assert_eq!(
+                    m.elig_out[p * vcs + v],
+                    o.index(),
+                    "eligible output of router {r} port {p} VC {v} disagrees at cycle {}",
+                    self.now
+                );
+                if self.sa_pair_eligible(r, p, v) {
+                    pairable |= 1 << v;
+                }
+            }
+            assert_eq!(
+                (m.eligible[p], m.pairable[p]),
+                (eligible, pairable),
+                "SA eligibility masks of router {r} port {p} disagree at cycle {}",
+                self.now
+            );
+        }
+        assert_eq!(
+            m.reach, reach,
+            "SA reach masks of router {r} disagree at cycle {}",
+            self.now
+        );
     }
 }
 

@@ -193,12 +193,8 @@ impl Network {
             // Rebuilt from the decoded buffers.
             sched: _,
             // Per-cycle scratch, empty at every iteration boundary.
-            scratch_winners: _,
             scratch_events: _,
-            scratch_primary: _,
-            scratch_pair: _,
-            scratch_alt: _,
-            scratch_port_sent: _,
+            alloc: _,
             wheel_spare: _,
         } = self;
         e.sec(SEC_GLOBALS);
@@ -275,12 +271,8 @@ impl Network {
             link_wide: _,
             tracer: _,
             profiler: _,
-            scratch_winners: _,
             scratch_events: _,
-            scratch_primary: _,
-            scratch_pair: _,
-            scratch_alt: _,
-            scratch_port_sent: _,
+            alloc: _,
             wheel_spare: _,
         } = self;
         d.sec(SEC_GLOBALS, "globals")?;

@@ -50,15 +50,58 @@ proptest! {
         prop_assume!(mask.iter().any(|&b| b));
         let mut arb = RrArbiter::new();
         let n = mask.len();
+        let requests = mask.iter().rev().fold(0u128, |m, &b| m << 1 | u128::from(b));
         let eligible: Vec<usize> =
             mask.iter().enumerate().filter(|(_, &b)| b).map(|(i, _)| i).collect();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..n {
-            let w = arb.grant(n, |i| mask[i]).expect("some requester");
+            let w = arb.grant(n, requests).expect("some requester");
             prop_assert!(mask[w]);
             seen.insert(w);
         }
         prop_assert_eq!(seen.len(), eligible.len(), "every requester served within n grants");
+    }
+
+    /// The mask-based arbiter picks exactly what a linear scan from the
+    /// rotating pointer picks, for every width up to 128, any starting
+    /// pointer and dense, sparse, single-bit and empty request masks; and
+    /// its pointer lands just past each winner.
+    #[test]
+    fn arbiter_masks_match_linear_scan(
+        n in 1usize..=128,
+        start in 0usize..128,
+        rounds in prop::collection::vec((any::<u64>(), any::<u64>(), 0u32..4), 1..12),
+    ) {
+        /// The reference: first requester at or after `next`, wrapping.
+        fn linear_scan(n: usize, next: usize, requests: u128) -> Option<usize> {
+            (0..n).map(|k| (next + k) % n).find(|&i| requests >> i & 1 == 1)
+        }
+
+        let mut arb = RrArbiter::new();
+        let mut next = start % n;
+        arb.advance_past((next + n - 1) % n, n);
+        for (lo, hi, shape) in rounds {
+            let dense = u128::from(hi) << 64 | u128::from(lo);
+            let requests = match shape {
+                0 => dense,
+                1 => dense & dense.rotate_left(17) & dense.rotate_left(71),
+                2 => 1 << (lo % 128),
+                _ => 0,
+            };
+            let want = linear_scan(n, next, requests);
+            prop_assert_eq!(arb.peek(n, requests), want);
+            prop_assert_eq!(arb.grant(n, requests), want);
+            if let Some(w) = want {
+                next = (w + 1) % n;
+            }
+            // An all-requesting mask reveals the pointer.
+            prop_assert_eq!(arb.peek(n, u128::MAX), Some(next));
+            if let Some(w) = want {
+                // A peeked nomination committed later moves it the same way.
+                arb.advance_past(w, n);
+                prop_assert_eq!(arb.peek(n, u128::MAX), Some(next));
+            }
+        }
     }
 
     /// Dimension-order routing reaches the destination in exactly

@@ -8,7 +8,7 @@
 
 #![cfg(feature = "verify")]
 
-use heteronoc_noc::config::{NetworkConfig, NetworkConfigBuilder, RouterCfg};
+use heteronoc_noc::config::{LinkWidths, NetworkConfig, NetworkConfigBuilder, RouterCfg};
 use heteronoc_noc::network::Network;
 use heteronoc_noc::routing::{RouteTable, RoutingKind};
 use heteronoc_noc::sim::{InvariantObserver, SimParams, SimRun};
@@ -45,6 +45,31 @@ fn heterogeneous_routers_hold_invariants_under_load() {
     let net = Network::new(b.build().expect("valid config")).unwrap();
     let out = SimRun::new(net, params(0.03)).run().unwrap();
     assert!(out.stats.packets_retired >= 500);
+}
+
+/// Big routers on the diagonal with wide links around them (the
+/// Diagonal+BL shape at small scale), driven near saturation: the
+/// secondary switch arbiter, same-packet pairs and full VC classes are all
+/// routine, and the engine checks every visit's allocator masks against
+/// the scalar predicates.
+#[test]
+fn wide_links_near_saturation_hold_allocator_masks() {
+    let big: Vec<bool> = (0..16).map(|r| r % 5 == 0).collect();
+    let mut b = NetworkConfigBuilder::mesh(4, 4)
+        .router_default(RouterCfg::SMALL)
+        .flit_width(Bits(128))
+        .link_widths(LinkWidths::ByBigRouters {
+            big: big.clone(),
+            narrow: Bits(128),
+            wide: Bits(256),
+        });
+    for (r, _) in big.iter().enumerate().filter(|(_, &b)| b) {
+        b = b.router(r, RouterCfg::BIG);
+    }
+    let net = Network::new(b.build().expect("valid config")).unwrap();
+    let out = SimRun::new(net, params(0.09)).run().unwrap();
+    assert!(out.stats.packets_retired >= 500);
+    assert!(out.stats.links.iter().any(|l| l.dual_cycles > 0));
 }
 
 #[test]
