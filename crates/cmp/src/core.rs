@@ -138,39 +138,31 @@ impl Core {
 
     /// Advances one core cycle. `issue_mem` is called for each memory
     /// operation the core issues this cycle (at most
-    /// [`CoreParams::mem_per_cycle`]); `txn_done` reports whether an L1
-    /// transaction has resolved and at which cycle.
-    pub fn tick<FIss, FDone>(&mut self, now: Cycle, mut issue_mem: FIss, txn_done: FDone)
+    /// [`CoreParams::mem_per_cycle`]); `txn_done` is asked about the L1
+    /// transaction at the head of the window and answers whether it has
+    /// resolved by `now`. A `true` answer consumes the transaction: its
+    /// instruction commits and the id is never asked about again.
+    pub fn tick<FIss, FDone>(&mut self, now: Cycle, mut issue_mem: FIss, mut txn_done: FDone)
     where
         FIss: FnMut(MemIssue) -> MemResult,
-        FDone: Fn(TxnId) -> Option<Cycle>,
+        FDone: FnMut(TxnId) -> bool,
     {
         // Commit in order.
         let mut committed = 0;
         while committed < self.params.width {
-            match self.rob.front() {
-                Some(RobEntry::Done(c)) if *c <= now => {
-                    self.rob.pop_front();
-                    self.committed += 1;
-                    committed += 1;
-                    self.first_commit.get_or_insert(now);
-                    self.last_commit = now;
-                }
-                Some(RobEntry::Waiting(t)) => {
-                    if let Some(c) = txn_done(*t) {
-                        if c <= now {
-                            self.rob.pop_front();
-                            self.committed += 1;
-                            committed += 1;
-                            self.first_commit.get_or_insert(now);
-                            self.last_commit = now;
-                            continue;
-                        }
-                    }
-                    break;
-                }
-                _ => break,
+            let ready = match self.rob.front() {
+                Some(RobEntry::Done(c)) => *c <= now,
+                Some(RobEntry::Waiting(t)) => txn_done(*t),
+                None => false,
+            };
+            if !ready {
+                break;
             }
+            self.rob.pop_front();
+            self.committed += 1;
+            committed += 1;
+            self.first_commit.get_or_insert(now);
+            self.last_commit = now;
         }
 
         // Fetch/issue up to `width`, at most `mem_per_cycle` memory ops.
@@ -244,7 +236,7 @@ mod tests {
         let mut core = Core::new(params, trace(records));
         let mut now = 0;
         while !core.finished() {
-            core.tick(now, |_| MemResult::CompleteAt(now + 2), |_| None);
+            core.tick(now, |_| MemResult::CompleteAt(now + 2), |_| false);
             now += 1;
             assert!(now < max, "core did not finish");
         }
@@ -290,7 +282,7 @@ mod tests {
                         MemResult::CompleteAt(now + 2)
                     }
                 },
-                |t| if t == 7 { Some(miss_done) } else { None },
+                |t| t == 7 && miss_done <= now,
             );
             now += 1;
         }
@@ -318,7 +310,7 @@ mod tests {
                             MemResult::CompleteAt(now + 2)
                         }
                     },
-                    |t| if t == 1 { Some(200) } else { None },
+                    |t| t == 1 && 200 <= now,
                 );
                 now += 1;
             }
@@ -350,7 +342,7 @@ mod tests {
                         MemResult::CompleteAt(now + 2)
                     }
                 },
-                |_| None,
+                |_| false,
             );
             now += 1;
         }

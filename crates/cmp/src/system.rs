@@ -82,13 +82,14 @@ pub struct CmpConfig {
 }
 
 impl CmpConfig {
-    /// Table 2 defaults on the given network: 4 corner memory controllers,
-    /// 2.2 GHz cores.
+    /// Table 2 defaults on the given network: a memory controller at each
+    /// corner of its grid, 2.2 GHz cores.
     pub fn paper_defaults(net: NetworkConfig) -> Self {
+        let (width, height) = net.topology.grid_dims();
         Self {
             net,
             mem: MemParams::default(),
-            mc_nodes: crate::memctrl::corners4(8, 8),
+            mc_nodes: crate::memctrl::corners4(width, height),
             core_clock_ghz: 2.2,
             expedited_nodes: Vec::new(),
         }
@@ -117,6 +118,8 @@ struct Mshr {
 struct L1 {
     cache: Cache<L1State>,
     mshrs: HashMap<u64, Mshr>,
+    /// Resolved transactions and the cycle their data is usable; the core
+    /// removes each one as it commits it.
     done: HashMap<TxnId, Cycle>,
     limit: usize,
     hits: u64,
@@ -229,8 +232,10 @@ impl CmpSystem {
     /// (pass empty traces for inactive cores).
     ///
     /// # Panics
-    /// Panics if the trace/core-parameter counts do not match the network's
-    /// node count or the network config is invalid.
+    /// Panics if the network config is invalid, if the network has more
+    /// than 64 nodes (directory sharer sets are `u64` bitmasks), if a memory
+    /// controller or expedited node lies outside the network, or if the
+    /// trace/core-parameter counts do not match the node count.
     pub fn new(
         cfg: CmpConfig,
         core_params: Vec<CoreParams>,
@@ -238,6 +243,18 @@ impl CmpSystem {
     ) -> Self {
         let net = Network::new(cfg.net).expect("valid network config");
         let n = net.graph().num_nodes();
+        assert!(n <= 64, "a CMP has at most 64 tiles, the network has {n}");
+        for (role, nodes) in [
+            ("memory controller", &cfg.mc_nodes),
+            ("expedited", &cfg.expedited_nodes),
+        ] {
+            if let Some(bad) = nodes.iter().find(|m| m.index() >= n) {
+                panic!(
+                    "{role} node {} is outside the {n}-node network",
+                    bad.index()
+                );
+            }
+        }
         assert_eq!(traces.len(), n, "one trace per node");
         assert_eq!(core_params.len(), n, "one core parameter set per node");
         let mem = cfg.mem;
@@ -519,9 +536,9 @@ impl CmpSystem {
             let l1_latency = mem.l1_latency;
             for (c, core) in cores.iter_mut().enumerate() {
                 let l1 = &mut l1s[c];
-                // `done` is read by one closure while the other mutates the
-                // rest of the L1, so take it out for the duration.
-                let done_map = std::mem::take(&mut l1.done);
+                // `done` is consumed by one closure while the other mutates
+                // the rest of the L1, so take it out for the duration.
+                let mut done = std::mem::take(&mut l1.done);
                 core.tick(
                     now,
                     |iss| {
@@ -529,13 +546,9 @@ impl CmpSystem {
                         let store = iss.record.op == MemOp::Store;
                         l1_issue(l1, c, block, store, now, l1_latency, txn_counter, issues)
                     },
-                    |t| done_map.get(&t).copied(),
+                    |t| done.get(&t).is_some_and(|&at| at <= now) && done.remove(&t).is_some(),
                 );
-                l1.done = done_map;
-                // Garbage-collect resolved txns the core has consumed.
-                if l1.done.len() > 4 * 64 {
-                    l1.done.retain(|_, cyc| *cyc + 10_000 > now);
-                }
+                l1.done = done;
             }
         }
         let mut issues = std::mem::take(&mut self.issues);
@@ -1262,6 +1275,87 @@ mod tests {
         let ipc = sys.ipcs()[5];
         assert!(ipc > 0.5, "compute-heavy ipc {ipc}");
         assert!(ipc <= 3.0);
+    }
+
+    #[test]
+    fn resolved_transactions_are_consumed_once() {
+        // Every core streams misses to private blocks, so each L1 resolves
+        // hundreds of transactions over the run.
+        let traces = (0..16u64)
+            .map(|c| {
+                let recs = (0..300).map(|i| rec(1, MemOp::Load, (c * 4096 + i) * 128));
+                trace_of(recs.collect())
+            })
+            .collect();
+        let mut sys = CmpSystem::new(cfg(), vec![CoreParams::OUT_OF_ORDER; 16], traces);
+        let mut peak = 0;
+        while !sys.finished() {
+            sys.tick();
+            peak = sys
+                .l1s
+                .iter()
+                .map(|l1| l1.done.len())
+                .fold(peak, usize::max);
+            assert!(sys.now() < 2_000_000, "system did not drain");
+        }
+        assert!(peak > 0, "no transaction ever resolved");
+        assert!(
+            peak <= CoreParams::OUT_OF_ORDER.window,
+            "{peak} resolved transactions held at once"
+        );
+        assert!(sys.l1s.iter().all(|l1| l1.done.is_empty()));
+    }
+
+    #[test]
+    fn paper_defaults_fit_the_grid() {
+        let cfg = CmpConfig::paper_defaults(tiny_net());
+        assert_eq!(cfg.mc_nodes, crate::memctrl::corners4(4, 4));
+        let mut traces = empty_traces(16);
+        traces[5] = trace_of(
+            (0..40)
+                .map(|i| rec(2, MemOp::Load, 0x1_0000 + i * 128))
+                .collect(),
+        );
+        let mut sys = CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 16], traces);
+        sys.run(2_000_000);
+        assert!(sys.finished(), "4x4 paper-default system must drain");
+        assert_eq!(sys.stats().mem_reads, 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "memory controller node 56 is outside the 16-node network")]
+    fn controller_outside_the_network_is_rejected() {
+        let cfg = CmpConfig {
+            mc_nodes: crate::memctrl::corners4(8, 8),
+            ..cfg()
+        };
+        CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 16], empty_traces(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "expedited node 16 is outside the 16-node network")]
+    fn expedited_node_outside_the_network_is_rejected() {
+        let cfg = CmpConfig {
+            expedited_nodes: vec![NodeId(0), NodeId(16)],
+            ..cfg()
+        };
+        CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 16], empty_traces(16));
+    }
+
+    #[test]
+    #[should_panic(expected = "a CMP has at most 64 tiles, the network has 81")]
+    fn more_than_64_tiles_is_rejected() {
+        let net = NetworkConfig::homogeneous(
+            TopologyKind::Mesh {
+                width: 9,
+                height: 9,
+            },
+            RouterCfg::BASELINE,
+            Bits(192),
+            2.2,
+        );
+        let cfg = CmpConfig::paper_defaults(net);
+        CmpSystem::new(cfg, vec![CoreParams::OUT_OF_ORDER; 81], empty_traces(81));
     }
 
     #[test]

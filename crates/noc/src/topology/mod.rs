@@ -165,6 +165,16 @@ pub enum TopologyKind {
 }
 
 impl TopologyKind {
+    /// Router grid dimensions `(width, height)`.
+    pub fn grid_dims(self) -> (usize, usize) {
+        match self {
+            TopologyKind::Mesh { width, height }
+            | TopologyKind::Torus { width, height }
+            | TopologyKind::CMesh { width, height, .. }
+            | TopologyKind::FlattenedButterfly { width, height, .. } => (width, height),
+        }
+    }
+
     /// Builds the concrete graph for this topology kind.
     ///
     /// # Examples
@@ -299,12 +309,7 @@ impl TopologyGraph {
 
     /// Router grid dimensions `(width, height)`.
     pub fn grid_dims(&self) -> (usize, usize) {
-        match self.kind {
-            TopologyKind::Mesh { width, height }
-            | TopologyKind::Torus { width, height }
-            | TopologyKind::CMesh { width, height, .. }
-            | TopologyKind::FlattenedButterfly { width, height, .. } => (width, height),
-        }
+        self.kind.grid_dims()
     }
 
     /// Attachment point of `node`.
